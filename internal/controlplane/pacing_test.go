@@ -1,0 +1,180 @@
+package controlplane
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/runtime"
+)
+
+// waitEpoch blocks on the kernel's epoch signal — never on a sleep —
+// until cond holds. Safe off the test goroutine: it reports instead of
+// failing the test itself.
+func waitEpoch(k *runtime.Kernel, cond func() bool) bool {
+	sig, cancel := k.EpochSignal()
+	defer cancel()
+	timeout := time.After(10 * time.Second)
+	for !cond() {
+		select {
+		case <-sig:
+		case <-timeout:
+			return false
+		}
+	}
+	return true
+}
+
+// probeSpec is the benchmark's probe tenant: every violating sample is
+// one tick's violation, one fire, one step along the ladder.
+func probeSpec(name string) AppSpec {
+	levels := make([]float64, maxLevels)
+	for i := range levels {
+		levels[i] = float64(1 + i%2)
+	}
+	return AppSpec{Name: name, Window: 1, Debounce: 1,
+		Goals:    []GoalSpec{{Metric: "token", Target: 0.5}},
+		Workload: WorkloadSpec{Tasks: 1, GFlop: 1},
+		Policy:   &PolicySpec{Type: PolicyLadder, Levels: levels}}
+}
+
+// TestPacedIngestNudges: on a plane whose pacing timer cannot fire
+// within the test, one sample beyond the tenant's SLA target — through
+// each of the three ingest routes — is actuated and committed by an
+// early epoch, while in-SLA traffic rings nothing.
+func TestPacedIngestNudges(t *testing.T) {
+	routes := []struct {
+		name string
+		// send delivers the batch; acked reports whether the server has
+		// ingested it by the time send returns.
+		send  func(c *Client, w *ObservationWriter, samples []runtime.Sample) error
+		acked bool
+	}{
+		{"json", func(c *Client, _ *ObservationWriter, samples []runtime.Sample) error {
+			obs := make([]Observation, len(samples))
+			for i, s := range samples {
+				obs[i] = Observation{Metric: s.Metric, Value: s.Value}
+			}
+			_, err := c.Observe("probe", obs)
+			return err
+		}, true},
+		{"binary", func(c *Client, _ *ObservationWriter, samples []runtime.Sample) error {
+			_, err := c.ObserveBinary("probe", samples)
+			return err
+		}, true},
+		{"stream", func(_ *Client, w *ObservationWriter, samples []runtime.Sample) error {
+			for _, s := range samples {
+				if err := w.Observe("probe", s.Metric, s.Value); err != nil {
+					return err
+				}
+			}
+			return w.Flush()
+		}, false},
+	}
+	for _, route := range routes {
+		t.Run(route.name, func(t *testing.T) {
+			k, c := newTestPlane(t)
+			if err := k.Start(context.Background(), runtime.Options{Interval: time.Hour}); err != nil {
+				t.Fatal(err)
+			}
+			defer k.Stop()
+			if _, err := c.Register(probeSpec("probe")); err != nil {
+				t.Fatal(err)
+			}
+			ctl := k.App("probe")
+			if !waitEpoch(k, func() bool { return k.ServedGeneration() >= k.Generation() && k.Epochs() >= 1 }) {
+				t.Fatal("the tenant's generation never ran its first epoch")
+			}
+			w, err := c.Stream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+
+			quiet := []runtime.Sample{{Metric: "token", Value: 0.1}, {Metric: "token", Value: 0.5}, {Metric: "other", Value: 9}}
+			if err := route.send(c, w, quiet); err != nil {
+				t.Fatal(err)
+			}
+			if route.acked && k.EarlyEpochs() != 0 {
+				t.Fatalf("an in-SLA batch rang the kernel (EarlyEpochs %d)", k.EarlyEpochs())
+			}
+			total := k.TotalFor("probe")
+			if err := route.send(c, w, []runtime.Sample{{Metric: "token", Value: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			if !waitEpoch(k, func() bool { return ctl.Adaptations() == 1 && k.TotalFor("probe") > total }) {
+				t.Fatalf("no early epoch: adaptations %d, total %g -> %g, EarlyEpochs %d",
+					ctl.Adaptations(), total, k.TotalFor("probe"), k.EarlyEpochs())
+			}
+			// Exactly one ring: the in-SLA batch (ingested first on every
+			// route, the stream included — frames are handled in order)
+			// contributed none.
+			if got := k.EarlyEpochs(); got != 1 {
+				t.Errorf("EarlyEpochs() = %d, want 1", got)
+			}
+			if st, err := c.App("probe"); err != nil || st.Level != 2 || st.Adaptations != 1 {
+				t.Errorf("status after the probe: %+v, %v; want level 2 after 1 adaptation", st, err)
+			}
+		})
+	}
+}
+
+// TestPacedProbeCycleStress is the benchmark's probe verifier run
+// in-process under the race detector: several producers each walk their
+// own tenant through send → wait for Adaptations to advance → send, on
+// a plane paced slowly enough that honoured nudges, dropped nudges and
+// paced ticks all interleave. No sample may be lost, doubled or left in
+// an inbox.
+func TestPacedProbeCycleStress(t *testing.T) {
+	const producers, samples = 4, 24
+	k, s, c := newBinaryPlane(t)
+	if err := k.Start(context.Background(), runtime.Options{Interval: 20 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	defer k.Stop()
+	for p := 0; p < producers; p++ {
+		if _, err := c.Register(probeSpec(fmt.Sprintf("probe%d", p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			name := fmt.Sprintf("probe%d", p)
+			ctl := k.App(name)
+			for i := int64(1); i <= samples; i++ {
+				var err error
+				if (int64(p)+i)%2 == 0 {
+					_, err = c.Observe(name, []Observation{{Metric: "token", Value: 1}})
+				} else {
+					_, err = c.ObserveBinary(name, []runtime.Sample{{Metric: "token", Value: 1}})
+				}
+				if err != nil {
+					t.Errorf("%s sample %d: %v", name, i, err)
+					return
+				}
+				if !waitEpoch(k, func() bool { return ctl.Adaptations() >= i }) {
+					t.Errorf("%s: sample %d never actuated (adaptations %d)", name, i, ctl.Adaptations())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for p := 0; p < producers; p++ {
+		ra := s.lookupApp(fmt.Sprintf("probe%d", p))
+		if got := ra.ctl.Adaptations(); got != samples {
+			t.Errorf("%s: %d adaptations for %d samples", ra.spec.Name, got, samples)
+		}
+		if n := ra.inbox.Len(); n != 0 {
+			t.Errorf("%s: %d samples left in the inbox", ra.spec.Name, n)
+		}
+	}
+	if k.EarlyEpochs() == 0 {
+		t.Error("no nudge was honoured: the stress never exercised the early wake")
+	}
+}

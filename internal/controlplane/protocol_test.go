@@ -30,7 +30,7 @@ func TestEpochsOptimisticLockFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitKernelEpochs(t, k, 5)
+	waitBackendSeqs(t, k, 1, "b0", "hot")
 
 	base := k.CommitLockReads()
 	var last EpochsStatus
@@ -131,14 +131,25 @@ func TestEpochStreamCoalescesPerBackend(t *testing.T) {
 	}
 }
 
-// waitKernelEpochs waits until the kernel has run at least n epochs.
-func waitKernelEpochs(t *testing.T, k *runtime.Kernel, n int64) {
+// waitBackendSeqs waits, on the kernel's epoch signal, until each named
+// backend has committed at least n epochs. It keys on BackendStats.Seq
+// — what the assertions read — because the global epoch counter is
+// moved by whichever backend commits first.
+func waitBackendSeqs(t *testing.T, k *runtime.Kernel, n int64, names ...string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for k.Epochs() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d kernel epochs (at %d)", n, k.Epochs())
+	reached := func() bool {
+		seqs := map[string]int64{}
+		for _, bs := range k.BackendStats() {
+			seqs[bs.Name] = bs.Seq
 		}
-		time.Sleep(time.Millisecond)
+		for _, name := range names {
+			if seqs[name] < n {
+				return false
+			}
+		}
+		return true
+	}
+	if !waitEpoch(k, reached) {
+		t.Fatalf("timed out waiting for backends %v to reach seq %d (at %+v)", names, n, k.BackendStats())
 	}
 }

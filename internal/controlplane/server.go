@@ -69,6 +69,10 @@ type remoteApp struct {
 	ctl     *runtime.Controller
 	samples atomic.Int64
 
+	// sla is the parsed spec.Goals: the kernel's copy, and what ingest
+	// checks admitted samples against for the early-wake hint.
+	sla monitor.SLA
+
 	// quota is the spec's ingress token bucket; nil admits everything.
 	quota *tokenBucket
 
@@ -469,7 +473,7 @@ func parseGoals(specs []GoalSpec) ([]monitor.Goal, error) {
 
 // kernelSpec lowers a wire AppSpec into a runtime.AppSpec wired to the
 // remoteApp's inbox, synthetic workload and built policy arm.
-func (s *Server) kernelSpec(ra *remoteApp, goals []monitor.Goal, pol runtime.Policy, knob runtime.Knob) runtime.AppSpec {
+func (s *Server) kernelSpec(ra *remoteApp, pol runtime.Policy, knob runtime.Knob) runtime.AppSpec {
 	w := ra.spec.Workload
 	if w.Tasks <= 0 {
 		w.Tasks = 1
@@ -482,7 +486,7 @@ func (s *Server) kernelSpec(ra *remoteApp, goals []monitor.Goal, pol runtime.Pol
 	}
 	return runtime.AppSpec{
 		Name:     ra.spec.Name,
-		SLA:      monitor.SLA{Name: ra.spec.Name, Goals: goals},
+		SLA:      ra.sla,
 		Window:   ra.spec.Window,
 		Debounce: ra.spec.Debounce,
 		Backend:  ra.spec.Placement,
@@ -523,6 +527,7 @@ func (s *Server) admitApp(spec AppSpec, journal bool) (*remoteApp, error) {
 	}
 	ra := &remoteApp{
 		spec:    spec,
+		sla:     monitor.SLA{Name: spec.Name, Goals: goals},
 		inbox:   &runtime.Inbox{},
 		metrics: make(map[string]struct{}),
 		quota:   newTokenBucket(spec.Quota, time.Now()),
@@ -533,7 +538,7 @@ func (s *Server) admitApp(spec AppSpec, journal bool) (*remoteApp, error) {
 	}
 	installPolicy(ra, ap)
 	s.mu.Lock()
-	ctl, err := s.kernel.Attach(s.kernelSpec(ra, goals, pol, knob))
+	ctl, err := s.kernel.Attach(s.kernelSpec(ra, pol, knob))
 	if err == nil {
 		ra.ctl = ctl
 		s.apps[spec.Name] = ra
@@ -684,7 +689,9 @@ func writeIngestErr(w http.ResponseWriter, err error) {
 // admission, then one bulk slot-range claim into the app's lock-free
 // inbox. Past admission nothing can fail: the batch lands even if the
 // app is detached concurrently (its inbox just never gets collected
-// again).
+// again). A sample beyond one of the tenant's SLA targets then nudges
+// the kernel — push first, nudge second (see runtime.Kernel.Nudge) — so
+// a paced plane reacts now instead of up to -interval later.
 func (s *Server) ingest(ra *remoteApp, samples []runtime.Sample) error {
 	if ra.inbox.Len() >= maxPendingSamples {
 		return &backpressureError{name: ra.spec.Name, pending: ra.inbox.Len()}
@@ -700,6 +707,12 @@ func (s *Server) ingest(ra *remoteApp, samples []runtime.Sample) error {
 	}
 	ra.inbox.PushBatch(samples)
 	ra.samples.Add(int64(len(samples)))
+	for i := range samples {
+		if ra.sla.Breaches(samples[i].Metric, samples[i].Value) {
+			s.kernel.Nudge()
+			break
+		}
+	}
 	return nil
 }
 

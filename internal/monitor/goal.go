@@ -109,6 +109,28 @@ func (s SLA) Check(summaries map[string]Summary) (ok bool, worstGoal int, worst 
 	return ok, worstGoal, worst
 }
 
+// Breaches reports whether one raw sample lies beyond the target of any
+// goal on its metric, whatever the goal's Stat. A window whose samples
+// are all within target cannot violate under mean, p95 or max, so a
+// tenant that never breaches never violates: the kernel's pacing uses
+// this as its cheap "look now" hint at ingest (see runtime.Kernel.Nudge).
+func (s SLA) Breaches(metric string, v float64) bool {
+	for i := range s.Goals {
+		g := &s.Goals[i]
+		if g.Metric != metric {
+			continue
+		}
+		if g.Relation == AtMost {
+			if v > g.Target {
+				return true
+			}
+		} else if v < g.Target {
+			return true
+		}
+	}
+	return false
+}
+
 // Trigger debounces SLA violations: it fires only after K consecutive
 // violating checks, and re-arms after a satisfied check, preventing the
 // autotuner from thrashing on noise.

@@ -169,6 +169,52 @@ func TestSLACheckWorstViolation(t *testing.T) {
 	}
 }
 
+// TestSLABreaches: the raw-sample hint compares against every goal on
+// the sample's metric, ignores Stat, and is strict at the target.
+func TestSLABreaches(t *testing.T) {
+	sla := SLA{Goals: []Goal{
+		{Metric: MetricLatency, Stat: "p95", Relation: AtMost, Target: 1.0},
+		{Metric: MetricThroughput, Relation: AtLeast, Target: 100},
+		{Metric: MetricLatency, Stat: "max", Relation: AtMost, Target: 0.5},
+	}}
+	cases := []struct {
+		metric string
+		v      float64
+		want   bool
+	}{
+		{MetricLatency, 0.5, false}, // at the tightest target: satisfied
+		{MetricLatency, 0.7, true},  // beyond the second latency goal only
+		{MetricLatency, 1.5, true},
+		{MetricThroughput, 100, false},
+		{MetricThroughput, 99, true},
+		{MetricThroughput, 500, false},
+		{MetricEnergy, 1e9, false}, // no goal on the metric
+	}
+	for _, c := range cases {
+		if got := sla.Breaches(c.metric, c.v); got != c.want {
+			t.Errorf("Breaches(%s, %g) = %v, want %v", c.metric, c.v, got, c.want)
+		}
+	}
+	if (SLA{}).Breaches(MetricLatency, 1e9) {
+		t.Error("an SLA without goals cannot be breached")
+	}
+	// The hint's contract: a window holding no breaching sample satisfies
+	// the goal under every Stat.
+	for _, stat := range []string{"mean", "p95", "max"} {
+		g := Goal{Metric: MetricLatency, Stat: stat, Relation: AtMost, Target: 1.0}
+		w := NewWindow(8)
+		for _, v := range []float64{1.0, 0.2, 0.99, 1.0, 0.5} {
+			if (SLA{Goals: []Goal{g}}).Breaches(MetricLatency, v) {
+				t.Fatalf("%g breaches %s", v, g)
+			}
+			w.Push(v)
+		}
+		if ok, _ := g.Check(w.Snapshot()); !ok {
+			t.Errorf("%s violated by a window without a breaching sample", g)
+		}
+	}
+}
+
 func TestTriggerDebounce(t *testing.T) {
 	tr := NewTrigger(3)
 	seq := []bool{true, true, false, true, true, true, true}

@@ -192,6 +192,11 @@ type Kernel struct {
 	topoShards atomic.Int32
 	topoDrift  atomic.Bool
 
+	// Early wake (pacer.go): the serving generation's pacer — nil unless
+	// it is paced (Options.Interval > 0) — and the honoured-nudge count.
+	pacer       atomic.Pointer[pacer]
+	earlyEpochs atomic.Int64
+
 	errMu sync.Mutex
 	err   error // first workload error observed by concurrent loops
 }
@@ -1299,7 +1304,9 @@ type Options struct {
 	// (default 60).
 	EpochDt float64
 	// Interval paces each application loop between epochs (default 0:
-	// back-to-back, throttled only by the epoch barrier).
+	// back-to-back, throttled only by the epoch barrier). It is the
+	// kernel's maximum staleness, not its reaction latency: Nudge starts
+	// the next epoch at once, at most one early epoch per interval.
 	Interval time.Duration
 	// Flush bounds how long the scheduler waits for straggler apps
 	// before running an epoch with the batches at hand (default 100ms).
@@ -1349,6 +1356,11 @@ type shard struct {
 	// acceptedCh is the channel-mode equivalent (buffered 1; a shard
 	// never has two batches in flight).
 	acceptedCh chan struct{}
+
+	// Paced generations only (pacer.go): the early-wake doorbell and the
+	// loop's reused pacing timer.
+	bell  chan struct{}
+	timer *time.Timer
 }
 
 // Start launches the concurrent kernel: a supervisor goroutine that
@@ -1487,6 +1499,10 @@ func (k *Kernel) serveGeneration(ctx context.Context, changed <-chan struct{}, a
 	for _, sh := range shards {
 		sh.contribs = make([]contribution, 0, len(sh.apps))
 	}
+	if opts.Interval > 0 {
+		k.pacer.Store(newPacer(opts.Interval, shards))
+		defer k.pacer.Store(nil)
+	}
 
 	var loopsWG, genWG sync.WaitGroup
 	if nShards == 1 {
@@ -1545,11 +1561,7 @@ func (k *Kernel) singleLoop(ctx context.Context, sh *shard, opts Options, wg *sy
 		}
 		k.execute(opts.EpochDt, sh.contribs)
 		if opts.Interval > 0 {
-			t := time.NewTimer(opts.Interval)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
+			if !sh.pause(ctx, opts.Interval) {
 				return
 			}
 		} else {
@@ -1625,14 +1637,8 @@ func (k *Kernel) shardLoop(ctx context.Context, sh *shard, opts Options, hub *wa
 		} else if !k.waitAccepted(ctx, sh) {
 			return
 		}
-		if opts.Interval > 0 {
-			t := time.NewTimer(opts.Interval)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return
-			}
+		if opts.Interval > 0 && !sh.pause(ctx, opts.Interval) {
+			return
 		}
 	}
 }
