@@ -679,64 +679,49 @@ func BenchmarkKernelConcurrent(b *testing.B) {
 
 // BenchmarkInboxIngest (K3) measures telemetry ingestion throughput:
 // N producers push samples while a collector drains concurrently — the
-// serving-side contention profile of the concurrent kernel. "ring" is
-// the lock-free chunked Inbox; "locked" is the PR-1 mutex-guarded
-// baseline it replaced (kept as LockedInbox).
+// serving-side contention profile of the concurrent kernel.
 func BenchmarkInboxIngest(b *testing.B) {
-	type pushCollector interface {
-		Push(metric string, v float64)
-		Collect() []kernelrt.Sample
-	}
-	impls := []struct {
-		name string
-		mk   func() pushCollector
-	}{
-		{"ring", func() pushCollector { return &kernelrt.Inbox{} }},
-		{"locked", func() pushCollector { return &kernelrt.LockedInbox{} }},
-	}
-	for _, impl := range impls {
-		for _, producers := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("%s/producers=%d", impl.name, producers), func(b *testing.B) {
-				in := impl.mk()
-				stop := make(chan struct{})
-				var collected atomic.Int64
-				var collectorWG sync.WaitGroup
-				collectorWG.Add(1)
+	for _, producers := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("producers=%d", producers), func(b *testing.B) {
+			in := &kernelrt.Inbox{}
+			stop := make(chan struct{})
+			var collected atomic.Int64
+			var collectorWG sync.WaitGroup
+			collectorWG.Add(1)
+			go func() {
+				defer collectorWG.Done()
+				for {
+					collected.Add(int64(len(in.Collect())))
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+			per := (b.N + producers - 1) / producers
+			total := int64(per * producers)
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
 				go func() {
-					defer collectorWG.Done()
-					for {
-						collected.Add(int64(len(in.Collect())))
-						select {
-						case <-stop:
-							return
-						default:
-						}
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						in.Push(monitor.MetricLatency, float64(i))
 					}
 				}()
-				per := (b.N + producers - 1) / producers
-				total := int64(per * producers)
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for p := 0; p < producers; p++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := 0; i < per; i++ {
-							in.Push(monitor.MetricLatency, float64(i))
-						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
-				close(stop)
-				collectorWG.Wait()
-				collected.Add(int64(len(in.Collect())))
-				if collected.Load() != total {
-					b.Fatalf("collected %d of %d samples", collected.Load(), total)
-				}
-				b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "samples/s")
-			})
-		}
+			}
+			wg.Wait()
+			b.StopTimer()
+			close(stop)
+			collectorWG.Wait()
+			collected.Add(int64(len(in.Collect())))
+			if collected.Load() != total {
+				b.Fatalf("collected %d of %d samples", collected.Load(), total)
+			}
+			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "samples/s")
+		})
 	}
 }
 
@@ -816,12 +801,6 @@ func BenchmarkKernelChurn(b *testing.B) {
 // deterministic. nBackends=1 exercises the kernel's single-backend
 // fast path through the same construction.
 func benchKernelBackends(nApps, nBackends int) (*kernelrt.Kernel, []*kernelrt.Inbox) {
-	return benchKernelBackendsPinned(nApps, nBackends, func(i int) int { return i % nBackends })
-}
-
-// benchKernelBackendsPinned is benchKernelBackends with an explicit
-// app→backend pin function, so K8 can shape contention skew.
-func benchKernelBackendsPinned(nApps, nBackends int, pin func(i int) int) (*kernelrt.Kernel, []*kernelrt.Inbox) {
 	rng := simhpc.NewRNG(61)
 	k := kernelrt.NewKernel()
 	for bIdx := 0; bIdx < nBackends; bIdx++ {
@@ -839,7 +818,7 @@ func benchKernelBackendsPinned(nApps, nBackends int, pin func(i int) int) (*kern
 		inboxes[i] = inbox
 		_, err := k.Attach(kernelrt.AppSpec{
 			Name:    fmt.Sprintf("app%d", i),
-			Backend: fmt.Sprintf("b%d", pin(i)),
+			Backend: fmt.Sprintf("b%d", i%nBackends),
 			SLA: monitor.SLA{Goals: []monitor.Goal{
 				{Metric: monitor.MetricLatency, Relation: monitor.AtMost, Target: 1.0},
 			}},
@@ -947,104 +926,27 @@ func BenchmarkKernelPlacement(b *testing.B) {
 	})
 }
 
-// BenchmarkEpochProtocols (K8) is the CCBench-style protocol matrix:
-// the three epoch commit protocols (barrier, clock, optimistic) crossed
-// with backend count {1, 2, 4} and contention skew. Each cell is the K7
-// shape — 64 apps, concurrent mode, live telemetry producers — plus a
-// status reader polling ManagerStats/BackendStats throughout, the
-// control plane's /v1/epochs shape, so the reader-side cost of each
-// commit discipline is in the measurement (optimistic's seqlock snapshot
-// vs the commit-lock acquire of barrier/clock). skew=hot pins 3/4 of
-// the apps to b0 on a 4-backend kernel: the cell where per-backend
-// clocks pay off most, since b1-b3's epochs never wait behind b0's hot
-// lane. ns/op comparisons across cells are same-run only and only at
-// equal GOMAXPROCS — benchgate records gomaxprocs per entry and refuses
-// -require-le across differing core counts.
-func BenchmarkEpochProtocols(b *testing.B) {
-	const nApps = 64
-	const producerBatch = 10
-	run := func(b *testing.B, proto kernelrt.EpochProtocol, nBackends int, pin func(i int) int) {
-		k, inboxes := benchKernelBackendsPinned(nApps, nBackends, pin)
-		k.SetProtocol(proto)
-		interval := 200 * time.Microsecond
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		for _, in := range inboxes {
-			go func(in *kernelrt.Inbox) {
-				for ctx.Err() == nil {
-					for i := 0; i < producerBatch; i++ {
-						in.Push(monitor.MetricLatency, 0.2)
-					}
-					time.Sleep(producerBatch * interval)
-				}
-			}(in)
-		}
-		readerDone := make(chan struct{})
-		go func() {
-			defer close(readerDone)
-			for ctx.Err() == nil {
-				_ = k.ManagerStats()
-				_ = k.BackendStats()
-				time.Sleep(100 * time.Microsecond)
-			}
-		}()
-		b.ResetTimer()
-		if err := k.Start(ctx, kernelrt.Options{EpochDt: 60, Flush: 2 * time.Millisecond}); err != nil {
-			b.Fatal(err)
-		}
-		target := int64(b.N)
-		for k.Epochs() < target {
-			time.Sleep(100 * time.Microsecond)
-		}
-		k.Stop()
-		b.StopTimer()
-		cancel()
-		<-readerDone
-		if err := k.Err(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, proto := range []kernelrt.EpochProtocol{kernelrt.Barrier, kernelrt.PerBackendClock, kernelrt.OptimisticMerge} {
-		for _, nBackends := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("protocol=%s/backends=%d", proto, nBackends), func(b *testing.B) {
-				run(b, proto, nBackends, func(i int) int { return i % nBackends })
-			})
-		}
-		b.Run(fmt.Sprintf("protocol=%s/skew=hot", proto), func(b *testing.B) {
-			// 48 of 64 apps on b0; the rest round-robin over b1-b3.
-			run(b, proto, 4, func(i int) int {
-				if i%4 != 0 {
-					return 0
-				}
-				return 1 + (i/4)%3
-			})
-		})
-	}
-}
-
 // BenchmarkManyCore (K12) is the scaling matrix the ROADMAP's
-// "many-core profile" item asked for: epoch protocol {barrier, clock} ×
-// GOMAXPROCS {1, 4, 8, 16} × app count {64, 256} on a 4-backend kernel,
-// plus a wake-path comparison (channel handshake vs the notify path) at
-// GOMAXPROCS {4, 8}. GOMAXPROCS is overridden inside each cell (and
-// restored after), so the go-test name suffix — what benchgate records
-// as the entry's gomaxprocs — is the same for every cell and same-run
-// cross-cell gates (the 8-core ≥ 1.6× 1-core scaling ratio, notify ≤
-// channel wakeups) stay legal under benchgate's equality rule. On a
-// 1-vCPU host the override oversubscribes one core: the recorded
-// num_cpu says so, and the scaling cells only mean something on ≥ 8
-// hardware threads (the CI matrix leg). The wake cells report
-// wakeups/epoch — a scheduler-pressure count that separates the two
-// handshakes even without real parallelism: the channel handshake costs
-// ~2 wake operations per shard per epoch, the notify path a doorbell
-// ring plus tokens only for shards that actually parked.
+// "many-core profile" item asked for: GOMAXPROCS {1, 4, 8, 16} × app
+// count {64, 256} on a 4-backend kernel, plus one wake-path cell.
+// GOMAXPROCS is overridden inside each cell (and restored after), so
+// the go-test name suffix — what benchgate records as the entry's
+// gomaxprocs — is the same for every cell and the same-run cross-cell
+// gate (the 8-core ≥ 1.6× 1-core scaling ratio) stays legal under
+// benchgate's equality rule. On a 1-vCPU host the override
+// oversubscribes one core: the recorded num_cpu says so, and the
+// scaling cells only mean something on ≥ 8 hardware threads (the CI
+// matrix leg). The wake cell reports wakeups/epoch — a
+// scheduler-pressure count that means something even without real
+// parallelism: a doorbell ring plus tokens only for shards that
+// actually parked, where a per-shard channel handshake would cost ~2
+// wake operations per shard per epoch.
 func BenchmarkManyCore(b *testing.B) {
 	const producerBatch = 10
-	run := func(b *testing.B, procs int, proto kernelrt.EpochProtocol, wake kernelrt.WakeMode, nApps, nBackends int, countWakes bool) {
+	run := func(b *testing.B, procs, nApps, nBackends int, countWakes bool) {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		k, inboxes := benchKernelBackendsPinned(nApps, nBackends, func(i int) int { return i % nBackends })
-		k.SetProtocol(proto)
+		k, inboxes := benchKernelBackends(nApps, nBackends)
 		interval := 200 * time.Microsecond
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -1059,7 +961,7 @@ func BenchmarkManyCore(b *testing.B) {
 			}(in)
 		}
 		b.ResetTimer()
-		if err := k.Start(ctx, kernelrt.Options{EpochDt: 60, Flush: 2 * time.Millisecond, Wake: wake}); err != nil {
+		if err := k.Start(ctx, kernelrt.Options{EpochDt: 60, Flush: 2 * time.Millisecond}); err != nil {
 			b.Fatal(err)
 		}
 		target := int64(b.N)
@@ -1080,26 +982,19 @@ func BenchmarkManyCore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, proto := range []kernelrt.EpochProtocol{kernelrt.Barrier, kernelrt.PerBackendClock} {
-		for _, procs := range []int{1, 4, 8, 16} {
-			for _, nApps := range []int{64, 256} {
-				b.Run(fmt.Sprintf("protocol=%s/gmp=%d/apps=%d", proto, procs, nApps), func(b *testing.B) {
-					run(b, procs, proto, kernelrt.WakeNotify, nApps, 4, false)
-				})
-			}
-		}
-	}
-	// Wake-path cells: one backend (no lanes, no routing) so the shard
-	// handshake dominates what WakeOps counts, 256 apps so the shard
-	// count saturates at 2·GOMAXPROCS and the channel baseline pays the
-	// full O(shards) per epoch.
-	for _, wake := range []kernelrt.WakeMode{kernelrt.WakeChannel, kernelrt.WakeNotify} {
-		for _, procs := range []int{4, 8} {
-			b.Run(fmt.Sprintf("wake=%s/gmp=%d/apps=256", wake, procs), func(b *testing.B) {
-				run(b, procs, kernelrt.Barrier, wake, 256, 1, true)
+	for _, procs := range []int{1, 4, 8, 16} {
+		for _, nApps := range []int{64, 256} {
+			b.Run(fmt.Sprintf("gmp=%d/apps=%d", procs, nApps), func(b *testing.B) {
+				run(b, procs, nApps, 4, false)
 			})
 		}
 	}
+	// Wake-path cell: one backend (no routing) so the shard handshake
+	// dominates what WakeOps counts, 256 apps so the shard count
+	// saturates at GOMAXPROCS.
+	b.Run("wakeups/gmp=8/apps=256", func(b *testing.B) {
+		run(b, 8, 256, 1, true)
+	})
 }
 
 // BenchmarkBackendEvacuation (K9) prices the failure domain: the K7
@@ -1123,9 +1018,8 @@ func BenchmarkBackendEvacuation(b *testing.B) {
 		})
 		return rtrm.NewManager(cluster, cluster.FacilityPowerW(1)*0.9)
 	}
-	run := func(b *testing.B, proto kernelrt.EpochProtocol, nBackends int) {
+	run := func(b *testing.B, nBackends int) {
 		k, inboxes := benchKernelBackends(nApps, nBackends)
-		k.SetProtocol(proto)
 		k.SetBackendTimeout(2 * time.Second)
 		interval := 200 * time.Microsecond
 		const producerBatch = 10
@@ -1155,8 +1049,8 @@ func BenchmarkBackendEvacuation(b *testing.B) {
 				}
 				cycles.Add(1)
 				// ~50 lifecycle cycles/s: each remove+re-add is two full
-				// generation rolls (topology rebuild, lane teardown under
-				// clock/optimistic); unpaced, the churner alone saturates
+				// generation rolls (topology rebuild); unpaced, the
+				// churner alone saturates
 				// the roll path and the measurement stops being
 				// steady-state-epochs-under-churn.
 				time.Sleep(20 * time.Millisecond)
@@ -1179,12 +1073,10 @@ func BenchmarkBackendEvacuation(b *testing.B) {
 		}
 		b.ReportMetric(float64(cycles.Load())/b.Elapsed().Seconds(), "evacuations/s")
 	}
-	for _, proto := range []kernelrt.EpochProtocol{kernelrt.Barrier, kernelrt.PerBackendClock, kernelrt.OptimisticMerge} {
-		for _, nBackends := range []int{2, 4} {
-			b.Run(fmt.Sprintf("protocol=%s/backends=%d", proto, nBackends), func(b *testing.B) {
-				run(b, proto, nBackends)
-			})
-		}
+	for _, nBackends := range []int{2, 4} {
+		b.Run(fmt.Sprintf("backends=%d", nBackends), func(b *testing.B) {
+			run(b, nBackends)
+		})
 	}
 }
 

@@ -23,17 +23,16 @@
 // requires "Authorization: Bearer <token>"; reads stay open.
 //
 // With -data-dir, the control plane is durable: every mutating route
-// (register, detach, policy swap, backend add/remove, protocol choice)
-// is journaled into <dir>/wal.log — CRC-framed, fsynced with group
-// commit before the HTTP ack — and folded into <dir>/snapshot.db every
+// (register, detach, policy swap, backend add/remove) is journaled
+// into <dir>/wal.log — CRC-framed, fsynced with group commit before
+// the HTTP ack — and folded into <dir>/snapshot.db every
 // -snapshot-every records. On restart the recovered membership is
 // restored (tenants re-admitted, DSL policies recompiled, backends
-// rebuilt, placement hints and protocol reinstated) before the
-// listener opens; the -backends/-protocol bootstrap flags apply only
-// to a first boot and are ignored once a journal exists. A torn final
-// record (crash mid-write) is discarded silently; real corruption
-// refuses to serve. Without -data-dir nothing changes: the plane is
-// memory-only.
+// rebuilt, placement hints reinstated) before the listener opens; the
+// -backends bootstrap flag applies only to a first boot and is ignored
+// once a journal exists. A torn final record (crash mid-write) is
+// discarded silently; real corruption refuses to serve. Without
+// -data-dir nothing changes: the plane is memory-only.
 //
 // High-rate telemetry should use the binary paths instead of JSON:
 // POST /v1/apps/{id}/observations:binary for one-shot frame batches
@@ -98,7 +97,6 @@ func main() {
 		addr      = flag.String("addr", ":8077", "HTTP listen address")
 		nBackends = flag.Int("backends", 1, "resource-manager backends (simulated sites) to start with; more via POST /v1/backends")
 		placement = flag.String("placement", "least-loaded", "placement policy: pinned, least-loaded or sla")
-		protocol  = flag.String("protocol", "barrier", "epoch commit protocol: barrier, clock or optimistic")
 		authToken = flag.String("auth-token", os.Getenv("ANTAREX_AUTH_TOKEN"), "bearer token required on mutating routes (empty: auth off; also via ANTAREX_AUTH_TOKEN)")
 		nodes     = flag.Int("nodes", 8, "simulated cluster nodes per backend")
 		hetero    = flag.Bool("hetero", true, "alternate heterogeneous/homogeneous nodes")
@@ -203,8 +201,8 @@ func main() {
 		if err := cp.Restore(state); err != nil {
 			log.Fatalf("antarex-serve: restore: %v", err)
 		}
-		log.Printf("antarex-serve: recovered %d app(s), %d backend(s), protocol %s from %s (bootstrap flags ignored)",
-			len(state.Apps), len(state.Backends), kernel.Protocol(), *dataDir)
+		log.Printf("antarex-serve: recovered %d app(s), %d backend(s) from %s (bootstrap flags ignored)",
+			len(state.Apps), len(state.Backends), *dataDir)
 	} else {
 		specs, err := bootstrapSpecs(*nBackends, controlplane.BackendSpec{
 			Nodes:    *nodes,
@@ -221,9 +219,6 @@ func main() {
 			if err := cp.AdmitBackend(s); err != nil {
 				log.Fatalf("antarex-serve: backend %s: %v", s.Name, err)
 			}
-		}
-		if err := cp.UseProtocol(*protocol); err != nil {
-			log.Fatalf("antarex-serve: %v", err)
 		}
 	}
 	kernel.SetBackendTimeout(*beTimeout)
@@ -263,8 +258,8 @@ func main() {
 	if jlog != nil {
 		durability = "journaled to " + *dataDir
 	}
-	log.Printf("antarex-serve: %d backend(s), placement %s, protocol %s, ingress %s, %s, control plane on %s",
-		kernel.NumBackends(), *placement, kernel.Protocol(), auth, durability, *addr)
+	log.Printf("antarex-serve: %d backend(s), placement %s, ingress %s, %s, control plane on %s",
+		kernel.NumBackends(), *placement, auth, durability, *addr)
 	err = srv.ListenAndServe()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		kernel.Stop()

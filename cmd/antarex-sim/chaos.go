@@ -13,9 +13,8 @@ import (
 	"repro/internal/simhpc"
 )
 
-// The chaos experiment stresses the backend failure domain under all
-// three epoch protocols, CCBench-style: one harness, every protocol.
-// Mid-run it kills (panic), stalls (deadline overrun) and resurrects
+// The chaos experiment stresses the backend failure domain. Mid-run it
+// kills (panic), stalls (deadline overrun) and resurrects
 // each backend, plus one full drain/remove/re-add cycle, then asserts
 // total-accounting exactness: every app's cumulative offered GFlop in
 // the kernel's ledger must equal — bit for bit — what the app's own
@@ -44,29 +43,20 @@ func (c *chaosBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochRe
 
 func (c *chaosBackend) Stats() rtrm.Stats { return c.inner.Stats() }
 
-// chaos runs the failure-domain experiment for every protocol.
+// chaos runs the failure-domain experiment.
 func chaos() {
-	fmt.Println("== chaos: backend kill/stall/drain under every epoch protocol, exact totals required ==")
-	ok := true
-	for _, proto := range []runtime.EpochProtocol{
-		runtime.Barrier, runtime.PerBackendClock, runtime.OptimisticMerge,
-	} {
-		if !chaosRun(proto) {
-			ok = false
-		}
-	}
-	if !ok {
+	fmt.Println("== chaos: backend kill/stall/drain, exact totals required ==")
+	if !chaosRun() {
 		fmt.Println("  CHAOS: FAIL")
 		os.Exit(1)
 	}
-	fmt.Println("  chaos: all protocols survived with exact per-app totals")
 }
 
-// chaosRun is one protocol's round: 3 backends × 9 hinted apps; each
-// backend is killed and resurrected, then stalled past the commit
-// deadline and auto-healed; one backend is additionally drained,
-// removed and re-added. Returns false on any violated invariant.
-func chaosRun(proto runtime.EpochProtocol) bool {
+// chaosRun is the round: 3 backends × 9 hinted apps; each backend is
+// killed and resurrected, then stalled past the commit deadline and
+// auto-healed; one backend is additionally drained, removed and
+// re-added. Returns false on any violated invariant.
+func chaosRun() bool {
 	const (
 		nBackends = 3
 		nApps     = 9
@@ -74,7 +64,7 @@ func chaosRun(proto runtime.EpochProtocol) bool {
 		stallFor  = 150 * time.Millisecond
 	)
 	fail := func(format string, args ...any) bool {
-		fmt.Printf("  [%s] FAIL: %s\n", proto, fmt.Sprintf(format, args...))
+		fmt.Printf("  FAIL: %s\n", fmt.Sprintf(format, args...))
 		return false
 	}
 
@@ -93,7 +83,6 @@ func chaosRun(proto runtime.EpochProtocol) bool {
 			return fail("add backend: %v", err)
 		}
 	}
-	kern.SetProtocol(proto)
 	kern.SetBackendTimeout(timeout)
 
 	// Every app tracks its own expected total inside its workload
@@ -167,10 +156,8 @@ func chaosRun(proto runtime.EpochProtocol) bool {
 		}
 		return runtime.BackendStats{}, false
 	}
-	// Health polls go through the non-blocking BackendState atomics:
-	// BackendStats takes the slot's commit lock on healthy backends, so
-	// a stalled-but-not-yet-degraded slot would block the poll past the
-	// very transition it is trying to observe.
+	// Health polls go through BackendState: one slot's atomics, not a
+	// snapshot of every backend.
 	healthIs := func(name string, h runtime.BackendHealth) func() bool {
 		return func() bool {
 			_, got, ok := kern.BackendState(name)
@@ -269,7 +256,7 @@ func chaosRun(proto runtime.EpochProtocol) bool {
 			return fail("total mismatch for %s: kernel %v, workload produced %v", name, got, want)
 		}
 	}
-	fmt.Printf("  [%s] %d epochs, %d apps: kills+stalls+remove survived, totals exact\n",
-		proto, kern.Epochs(), nApps)
+	fmt.Printf("  chaos: %d epochs, %d apps: kills+stalls+remove survived, totals exact\n",
+		kern.Epochs(), nApps)
 	return true
 }

@@ -8,7 +8,7 @@ package main
 // of every mutation the server ACKED; after each kill the process is
 // restarted from the same -data-dir and the recovered plane must match
 // the ledger exactly — every acked register/detach/policy-swap/
-// backend-add/remove and the protocol choice back, nothing invented.
+// backend-add/remove back, nothing invented.
 // The one op in flight at the kill is the only tolerated ambiguity
 // (it may have landed or not; both worlds are checked). One round also
 // tears the WAL tail (a partial record appended to wal.log) to prove
@@ -80,7 +80,6 @@ type pendingOp struct {
 type shadowLedger struct {
 	apps     map[string]ledgerApp
 	backends map[string]bool
-	protocol string
 	pending  *pendingOp
 }
 
@@ -102,10 +101,9 @@ func crashloopRun() error {
 
 	led := &shadowLedger{
 		apps: map[string]ledgerApp{},
-		// First boot bootstraps b0/b1 and the protocol through the
-		// journaled admission paths, so the ledger starts with them.
+		// First boot bootstraps b0/b1 through the journaled admission
+		// path, so the ledger starts with them.
 		backends: map[string]bool{"b0": true, "b1": true},
-		protocol: "clock",
 	}
 	rng := rand.New(rand.NewSource(43))
 	var nextName int
@@ -198,7 +196,6 @@ func startServe(bin, addr, dataDir string) (*exec.Cmd, *controlplane.Client, err
 		"-addr", addr,
 		"-data-dir", dataDir,
 		"-backends", "2",
-		"-protocol", "clock",
 		"-snapshot-every", "32",
 	)
 	cmd.Stdout = os.Stderr
@@ -399,14 +396,6 @@ func (l *shadowLedger) verify(c *controlplane.Client) error {
 		if !l.backends[name] && !skip(name) {
 			return fmt.Errorf("removed backend %q came back", name)
 		}
-	}
-
-	ep, err := c.Epochs()
-	if err != nil {
-		return err
-	}
-	if ep.Protocol != l.protocol {
-		return fmt.Errorf("protocol %q, ledger says %q", ep.Protocol, l.protocol)
 	}
 	return nil
 }

@@ -9,13 +9,12 @@ import (
 	"sync"
 
 	"repro/internal/durable"
-	"repro/internal/runtime"
 )
 
 // Durability wiring: the control plane journals every mutating route
 // into a durable.Log before acknowledging it, so a restarted
 // antarex-serve re-admits every tenant, re-adds every backend and
-// restores placement and protocol before the listener opens.
+// restores placement before the listener opens.
 //
 // The division of labour with internal/durable: durable owns the
 // mechanics (framing, CRC, group-committed fsync, snapshots, torn-tail
@@ -44,7 +43,7 @@ const (
 	opPutPolicy     byte = 3 // policyRecord
 	opAddBackend    byte = 4 // BackendSpec (defaults applied)
 	opRemoveBackend byte = 5 // nameRecord
-	opSetProtocol   byte = 6 // protocolRecord
+	opOldProtocol   byte = 6 // retired: written by binaries that had -protocol
 )
 
 type nameRecord struct {
@@ -56,23 +55,18 @@ type policyRecord struct {
 	Policy PolicySpec `json:"policy"`
 }
 
-type protocolRecord struct {
-	Protocol string `json:"protocol"`
-}
-
 // PlaneState is the net control-plane membership a journal folds down
-// to: the epoch protocol, the live backends in add order, and the live
-// apps with their current (post-swap) policies. It is both the
-// snapshot blob format and the input to Server.Restore.
+// to: the live backends in add order, and the live apps with their
+// current (post-swap) policies. It is both the snapshot blob format
+// and the input to Server.Restore.
 type PlaneState struct {
-	Protocol string        `json:"protocol,omitempty"`
 	Backends []BackendSpec `json:"backends,omitempty"`
 	Apps     []AppSpec     `json:"apps,omitempty"`
 }
 
 // Empty reports whether the state restores nothing — a first boot.
 func (st PlaneState) Empty() bool {
-	return st.Protocol == "" && len(st.Backends) == 0 && len(st.Apps) == 0
+	return len(st.Backends) == 0 && len(st.Apps) == 0
 }
 
 // RecoverPlane folds an opened journal — snapshot blob plus replayed
@@ -153,12 +147,9 @@ func applyRecord(st *PlaneState, rec durable.Record) error {
 		if i := backendIdx(nr.Name); i >= 0 {
 			st.Backends = slices.Delete(st.Backends, i, i+1)
 		}
-	case opSetProtocol:
-		var pr protocolRecord
-		if err := json.Unmarshal(rec.Data, &pr); err != nil {
-			return fmt.Errorf("controlplane: journal seq %d: decode protocol: %w", rec.Seq, err)
-		}
-		st.Protocol = pr.Protocol
+	case opOldProtocol:
+		// Accepted and ignored: data-dirs written before the epoch
+		// protocols were deleted carry these records and must still boot.
 	default:
 		return fmt.Errorf("controlplane: journal seq %d: unknown op %d", rec.Seq, rec.Op)
 	}
@@ -270,16 +261,13 @@ func (s *Server) snapshotPlane() {
 }
 
 // planeState snapshots live membership in canonical form: current
-// backends, current protocol, and every app's spec with its ACTIVE
-// policy (a swapped policy replaces the registration-time one). Apps
-// are sorted by name for deterministic blobs.
+// backends and every app's spec with its ACTIVE policy (a swapped
+// policy replaces the registration-time one). Apps are sorted by name
+// for deterministic blobs.
 func (s *Server) planeState() PlaneState {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := PlaneState{
-		Protocol: s.kernel.Protocol().String(),
-		Backends: slices.Clone(s.backends),
-	}
+	st := PlaneState{Backends: slices.Clone(s.backends)}
 	names := make([]string, 0, len(s.apps))
 	for name := range s.apps {
 		names = append(names, name)
@@ -297,11 +285,11 @@ func (s *Server) planeState() PlaneState {
 	return st
 }
 
-// Restore replays a recovered PlaneState into the server: protocol
-// first, then every backend, then every app — DSL policies recompile
-// through policyc exactly as they did at admission. Call once, before
-// the kernel starts serving and before the listener opens; nothing is
-// re-journaled (the records that produced st are already durable).
+// Restore replays a recovered PlaneState into the server: every
+// backend, then every app — DSL policies recompile through policyc
+// exactly as they did at admission. Call once, before the kernel starts
+// serving and before the listener opens; nothing is re-journaled (the
+// records that produced st are already durable).
 //
 // A restored app may carry a placement hint naming a backend that was
 // later removed: admission-time validation rejected dangling hints,
@@ -309,13 +297,6 @@ func (s *Server) planeState() PlaneState {
 // treats an unresolvable hint as "no preference until the backend
 // returns" — so Restore admits them instead of refusing to boot.
 func (s *Server) Restore(st PlaneState) error {
-	if st.Protocol != "" {
-		proto, err := runtime.ParseEpochProtocol(st.Protocol)
-		if err != nil {
-			return fmt.Errorf("controlplane: restore: %w", err)
-		}
-		s.kernel.SetProtocol(proto)
-	}
 	for _, bs := range st.Backends {
 		if err := ValidateBackendSpec(bs); err != nil {
 			return fmt.Errorf("controlplane: restore backend %q: %w", bs.Name, err)
@@ -359,20 +340,6 @@ func (s *Server) AdmitBackend(spec BackendSpec) error {
 	s.backends = append(s.backends, spec)
 	s.mu.Unlock()
 	return s.journalAppend(opAddBackend, spec)
-}
-
-// UseProtocol parses, applies and journals the epoch protocol — the
-// journaled form of Kernel.SetProtocol, used at bootstrap so the
-// choice survives restarts.
-func (s *Server) UseProtocol(name string) error {
-	proto, err := runtime.ParseEpochProtocol(name)
-	if err != nil {
-		return err
-	}
-	unlock := s.lockEntity("")
-	defer unlock()
-	s.kernel.SetProtocol(proto)
-	return s.journalAppend(opSetProtocol, protocolRecord{Protocol: proto.String()})
 }
 
 // dropBackendSpec removes a backend's retained spec once its removal

@@ -51,8 +51,8 @@ func testBackendSpec(name string) BackendSpec {
 // gracefully beyond the log handle), recovers into a fresh plane, and
 // verifies the membership that was acked — and only that — came back:
 // apps with quotas, placement hints and policies (DSL recompiled, the
-// SWAPPED policy, not the registered one), backends minus the removed
-// one, and the protocol.
+// SWAPPED policy, not the registered one) and backends minus the
+// removed one.
 func TestJournalRecoveryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	_, _, c, log := newDurablePlane(t, dir, 0)
@@ -151,22 +151,53 @@ func TestJournalRecoveryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalProtocolSurvives: UseProtocol journals the epoch protocol
-// choice.
-func TestJournalProtocolSurvives(t *testing.T) {
+// TestJournalRetiredProtocolRecords: a data-dir written by a binary
+// that still had -protocol boots. Its snapshot carries a "protocol"
+// field and its WAL an op 6 record; both are accepted and ignored, the
+// roster around them recovers, and an op code nobody ever wrote is
+// still refused.
+func TestJournalRetiredProtocolRecords(t *testing.T) {
 	dir := t.TempDir()
-	_, s, _, log := newDurablePlane(t, dir, 0)
-	if err := s.AdmitBackend(testBackendSpec("b0")); err != nil {
+	log, err := durable.Open(dir, durable.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.UseProtocol("clock"); err != nil {
+	if err := log.WriteSnapshot([]byte(`{"protocol":"optimistic","backends":[{"name":"b0","nodes":2,"ambient_c":22,"cap_frac":0.9,"vary":0.05,"seed":7}]}`)); err != nil {
 		t.Fatal(err)
+	}
+	for _, rec := range []struct {
+		op   byte
+		data string
+	}{
+		{opRegister, `{"name":"web","placement":"b0"}`},
+		{opOldProtocol, `{"protocol":"clock"}`},
+		{opRegister, `{"name":"batch"}`},
+	} {
+		if _, err := log.Append(rec.op, []byte(rec.data)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	log.Close()
-	k2, _, _, log2 := recoverPlane(t, dir, 0)
-	defer log2.Close()
-	if got := k2.Protocol().String(); got != "clock" {
-		t.Fatalf("recovered protocol %q, want clock", got)
+
+	k, _, _, log2 := recoverPlane(t, dir, 0)
+	if !k.HasBackend("b0") || k.NumBackends() != 1 {
+		t.Errorf("recovered backends %v, want [b0]", k.Backends())
+	}
+	if k.App("web") == nil || k.App("batch") == nil || k.NumApps() != 2 {
+		t.Errorf("recovered %d apps, want web and batch", k.NumApps())
+	}
+
+	if _, err := log2.Append(99, []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	log2.Close()
+	log3, err := durable.Open(dir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log3.Close()
+	if _, err := RecoverPlane(log3); err == nil {
+		t.Error("unknown op 99 accepted")
 	}
 }
 

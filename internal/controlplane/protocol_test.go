@@ -2,26 +2,58 @@ package controlplane
 
 import (
 	"context"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/rtrm"
 	"repro/internal/runtime"
+	"repro/internal/simhpc"
 )
 
-// TestEpochsOptimisticLockFree is the acceptance test for the
-// OptimisticMerge read path end to end: /v1/epochs (and the repeated
-// status reads behind it) must take zero commit locks while the kernel
-// commits epochs, and the payload must carry the protocol name and a
-// live per-backend seq vector.
-func TestEpochsOptimisticLockFree(t *testing.T) {
-	k, c := newMultiPlane(t, nil)
-	k.SetProtocol(runtime.OptimisticMerge)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := k.Start(ctx, runtime.Options{Flush: 2 * time.Millisecond}); err != nil {
+// gatedBackend wraps a Backend so a test can hold one backend's commit
+// open: once armed, the next RunEpoch announces itself on entered and
+// blocks until gate closes.
+type gatedBackend struct {
+	runtime.Backend
+	armed   atomic.Bool
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport {
+	if g.armed.CompareAndSwap(true, false) {
+		g.entered <- struct{}{}
+		<-g.gate
+	}
+	return g.Backend.RunEpoch(dt, offered)
+}
+
+// TestStatusReadsDoNotBlockOnCommit: GET /v1/epochs answers while a
+// healthy backend's commit is parked inside RunEpoch — the payload is
+// assembled from the seqlock cells, so it shows the backend's last
+// committed epoch instead of waiting out the running one.
+func TestStatusReadsDoNotBlockOnCommit(t *testing.T) {
+	gated := &gatedBackend{
+		Backend: BuildBackend(BackendSpec{Name: "b0", Nodes: 4, AmbientC: 15}),
+		entered: make(chan struct{}, 1),
+		gate:    make(chan struct{}),
+	}
+	var release sync.Once
+	open := func() { release.Do(func() { close(gated.gate) }) }
+	defer open()
+	k := runtime.NewKernel()
+	if err := k.AddBackend("b0", gated); err != nil {
 		t.Fatal(err)
 	}
-	defer k.Stop()
+	if err := k.AddBackend("hot", BuildBackend(BackendSpec{Name: "hot", Nodes: 4, AmbientC: 40})); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(k))
+	defer srv.Close()
+	c := NewClient(srv.URL, srv.Client())
 	for _, reg := range []AppSpec{
 		{Name: "left", Placement: "b0", Workload: WorkloadSpec{Tasks: 1, GFlop: 2}},
 		{Name: "right", Placement: "hot", Workload: WorkloadSpec{Tasks: 1, GFlop: 2}},
@@ -30,56 +62,53 @@ func TestEpochsOptimisticLockFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitBackendSeqs(t, k, 1, "b0", "hot")
+	if _, err := k.RunEpoch(60); err != nil {
+		t.Fatal(err)
+	}
 
-	base := k.CommitLockReads()
-	var last EpochsStatus
-	for i := 0; i < 20; i++ {
+	gated.armed.Store(true)
+	epochDone := make(chan error, 1)
+	go func() {
+		_, err := k.RunEpoch(60)
+		epochDone <- err
+	}()
+	<-gated.entered // b0's commit holds its commit mutex until open()
+
+	type reply struct {
+		ep  EpochsStatus
+		err error
+	}
+	got := make(chan reply, 1)
+	go func() {
 		ep, err := c.Epochs()
-		if err != nil {
-			t.Fatal(err)
+		got <- reply{ep, err}
+	}()
+	select {
+	case r := <-got:
+		if r.err != nil {
+			t.Fatal(r.err)
 		}
-		last = ep
-	}
-	if got := k.CommitLockReads() - base; got != 0 {
-		t.Errorf("optimistic /v1/epochs took %d commit locks across 20 reads, want 0", got)
-	}
-	if last.Protocol != "optimistic" {
-		t.Errorf("protocol %q, want optimistic", last.Protocol)
-	}
-	if len(last.Backends) != 2 {
-		t.Fatalf("backends: %+v", last.Backends)
-	}
-	for _, bs := range last.Backends {
-		if bs.Seq <= 0 {
-			t.Errorf("backend %s seq %d, want > 0 (both serve a pinned app)", bs.Name, bs.Seq)
+		if len(r.ep.Backends) != 2 || r.ep.Backends[0].Name != "b0" || r.ep.Backends[0].Seq != 1 {
+			t.Errorf("b0 mid-commit should read as its last committed epoch: %+v", r.ep.Backends)
 		}
+		if r.ep.WorkGFlop <= 0 {
+			t.Errorf("merged stats lost the committed first epoch: %+v", r.ep)
+		}
+	case <-time.After(10 * time.Second): // hang guard: only a blocked handler gets here
+		t.Error("GET /v1/epochs blocked behind a parked commit")
 	}
-	if last.WorkGFlop <= 0 {
-		t.Errorf("lock-free merge saw no work: %+v", last)
+	open()
+	if err := <-epochDone; err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestEpochsLockedProtocolsCount: under Barrier and PerBackendClock the
-// same read path goes through commit locks and says so on the counter —
-// the contrast that makes the zero above meaningful.
-func TestEpochsLockedProtocolsCount(t *testing.T) {
-	for _, proto := range []runtime.EpochProtocol{runtime.Barrier, runtime.PerBackendClock} {
-		t.Run(proto.String(), func(t *testing.T) {
-			k, c := newMultiPlane(t, nil)
-			k.SetProtocol(proto)
-			base := k.CommitLockReads()
-			ep, err := c.Epochs()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ep.Protocol != proto.String() {
-				t.Errorf("protocol %q, want %s", ep.Protocol, proto)
-			}
-			if got := k.CommitLockReads() - base; got <= 0 {
-				t.Errorf("locked-protocol /v1/epochs took %d commit locks, want > 0", got)
-			}
-		})
+	ep, err := c.Epochs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bs := range ep.Backends {
+		if bs.Seq != 2 {
+			t.Errorf("backend %s seq %d after two epochs, want 2", bs.Name, bs.Seq)
+		}
 	}
 }
 
@@ -89,7 +118,6 @@ func TestEpochsLockedProtocolsCount(t *testing.T) {
 // monotone per backend.
 func TestEpochStreamCoalescesPerBackend(t *testing.T) {
 	k, c := newMultiPlane(t, nil)
-	k.SetProtocol(runtime.PerBackendClock)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if err := k.Start(ctx, runtime.Options{Flush: 2 * time.Millisecond}); err != nil {
@@ -128,28 +156,5 @@ func TestEpochStreamCoalescesPerBackend(t *testing.T) {
 		if !changed {
 			t.Errorf("event %d is a duplicate of event %d: coalescing on the seq vector failed (%+v)", i, i-1, cur)
 		}
-	}
-}
-
-// waitBackendSeqs waits, on the kernel's epoch signal, until each named
-// backend has committed at least n epochs. It keys on BackendStats.Seq
-// — what the assertions read — because the global epoch counter is
-// moved by whichever backend commits first.
-func waitBackendSeqs(t *testing.T, k *runtime.Kernel, n int64, names ...string) {
-	t.Helper()
-	reached := func() bool {
-		seqs := map[string]int64{}
-		for _, bs := range k.BackendStats() {
-			seqs[bs.Name] = bs.Seq
-		}
-		for _, name := range names {
-			if seqs[name] < n {
-				return false
-			}
-		}
-		return true
-	}
-	if !waitEpoch(k, reached) {
-		t.Fatalf("timed out waiting for backends %v to reach seq %d (at %+v)", names, n, k.BackendStats())
 	}
 }

@@ -1059,7 +1059,6 @@ func (s *Server) epochsStatus() EpochsStatus {
 	ms := k.ManagerStats()
 	return EpochsStatus{
 		Epochs:           k.Epochs(),
-		Protocol:         k.Protocol().String(),
 		Generation:       k.Generation(),
 		ServedGeneration: k.ServedGeneration(),
 		Apps:             k.NumApps(),
@@ -1112,10 +1111,10 @@ func (s *Server) handleEpochStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 
 	enc := json.NewEncoder(w)
-	// Coalescing is per backend, not per global epoch counter: under a
-	// barrier-free protocol each backend advances its own sequence
-	// number, and a late backend's commit must produce an event even
-	// when the global counter moved (and was streamed) long before. An
+	// Coalescing is per backend, not per global epoch counter: a commit
+	// that outlived the backend timeout lands after its epoch, and that
+	// late backend's commit must produce an event even when the global
+	// counter moved (and was streamed) long before. An
 	// event is suppressed only when the epoch counter AND every
 	// backend's seq are unchanged since the last one.
 	lastEpoch := int64(-1)

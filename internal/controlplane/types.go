@@ -186,8 +186,8 @@ type BackendStatus struct {
 	// Apps is the number of applications placed on the backend.
 	Apps int `json:"apps"`
 	// Seq is the backend's epoch sequence number: it advances on every
-	// commit this backend runs. Under a barrier-free kernel protocol
-	// backends advance independently, so stream consumers key change
+	// commit this backend runs. A commit abandoned at the backend
+	// timeout lands after its epoch, so stream consumers key change
 	// detection on the seq vector, not on the global epoch counter.
 	Seq int64 `json:"seq"`
 	// Health is the backend's failure-domain health: "healthy",
@@ -279,9 +279,6 @@ type BackendEventBody struct {
 type EpochsStatus struct {
 	// Epochs counts manager epochs run since the kernel was built.
 	Epochs int64 `json:"epochs"`
-	// Protocol is the kernel's epoch commit protocol ("barrier",
-	// "clock" or "optimistic" — see the serve command's -protocol flag).
-	Protocol string `json:"protocol,omitempty"`
 	// Generation is the membership epoch: attach/detach count so far.
 	Generation int64 `json:"generation"`
 	// ServedGeneration is the membership epoch the concurrent loops

@@ -33,63 +33,42 @@ func TestWindowConcurrentPush(t *testing.T) {
 // TestSetConcurrentPushSnapshot mixes pushers, snapshotters and resets
 // across distinct and shared metrics.
 func TestSetConcurrentPushSnapshot(t *testing.T) {
-	for _, impl := range []struct {
-		name string
-		push func(string, float64)
-		sums func() map[string]Summary
-	}{
-		{"set", nil, nil},
-		{"sharded", nil, nil},
-	} {
-		t.Run(impl.name, func(t *testing.T) {
-			var push func(string, float64)
-			var sums func() map[string]Summary
-			var window func(string) *Window
-			if impl.name == "set" {
-				s := NewSet(64)
-				push, sums, window = s.Push, s.Summaries, s.Window
-			} else {
-				s := NewShardedSet(64, 8)
-				push, sums, window = s.Push, s.Summaries, s.Window
-			}
-			const producers, per = 8, 500
-			var wg sync.WaitGroup
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					metric := fmt.Sprintf("m%d", p%4)
-					for i := 0; i < per; i++ {
-						push(metric, float64(i))
-						if i%100 == 0 {
-							_ = sums()
-						}
+	t.Run("set", func(t *testing.T) {
+		s := NewSet(64)
+		const producers, per = 8, 500
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				metric := fmt.Sprintf("m%d", p%4)
+				for i := 0; i < per; i++ {
+					s.Push(metric, float64(i))
+					if i%100 == 0 {
+						_ = s.Summaries()
 					}
-				}(p)
-			}
-			wg.Wait()
-			var total int64
-			for i := 0; i < 4; i++ {
-				w := window(fmt.Sprintf("m%d", i))
-				if w == nil {
-					t.Fatalf("metric m%d missing", i)
 				}
-				total += w.Total()
+			}(p)
+		}
+		wg.Wait()
+		var total int64
+		for i := 0; i < 4; i++ {
+			w := s.Window(fmt.Sprintf("m%d", i))
+			if w == nil {
+				t.Fatalf("metric m%d missing", i)
 			}
-			if total != producers*per {
-				t.Errorf("total %d, want %d", total, producers*per)
-			}
-		})
-	}
+			total += w.Total()
+		}
+		if total != producers*per {
+			t.Errorf("total %d, want %d", total, producers*per)
+		}
+	})
 }
 
-// The CCBench-style contention study behind the kernel's choice of a
-// mutexed Set over lock-striped shards: run with
+// Contention benchmarks for the mutexed Set and the cached-handle fast
+// path: run with
 //
 //	go test ./internal/monitor -bench 'PushParallel' -cpu 1,4,16
-//
-// At the kernel's contention level (one Set per app, a few metrics) the
-// two are within noise of each other, so the simpler Set wins.
 
 func benchmarkPushParallel(b *testing.B, push func(string, float64), metrics int) {
 	names := make([]string, metrics)
@@ -109,15 +88,6 @@ func BenchmarkSetPushParallel(b *testing.B) {
 	for _, metrics := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("metrics=%d", metrics), func(b *testing.B) {
 			s := NewSet(128)
-			benchmarkPushParallel(b, s.Push, metrics)
-		})
-	}
-}
-
-func BenchmarkShardedSetPushParallel(b *testing.B) {
-	for _, metrics := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("metrics=%d", metrics), func(b *testing.B) {
-			s := NewShardedSet(128, 16)
 			benchmarkPushParallel(b, s.Push, metrics)
 		})
 	}
@@ -151,15 +121,6 @@ func BenchmarkSetPushRunParallel(b *testing.B) {
 	for _, metrics := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("metrics=%d", metrics), func(b *testing.B) {
 			s := NewSet(128)
-			benchmarkPushRunParallel(b, s.Push, metrics)
-		})
-	}
-}
-
-func BenchmarkShardedSetPushRunParallel(b *testing.B) {
-	for _, metrics := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("metrics=%d", metrics), func(b *testing.B) {
-			s := NewShardedSet(128, 16)
 			benchmarkPushRunParallel(b, s.Push, metrics)
 		})
 	}

@@ -46,11 +46,10 @@ type Controller struct {
 	// read by the epoch engine.
 	backend atomic.Int32
 
-	// total is the app's cumulative offered GFlop as float bits. Within
-	// a generation one epoch-commit goroutine carries this app's batches
-	// (its placed backend's lane), but a backend failure can race that
-	// lane's accounting against the dispatcher writing an epoch off, so
-	// updates go through a CAS loop; status readers load it lock-free.
+	// total is the app's cumulative offered GFlop as float bits. The
+	// serialized epoch engine accounts every contribution in merge
+	// order, so the float sum is deterministic; updates go through a CAS
+	// loop and status readers load it lock-free.
 	total atomic.Uint64
 
 	// quarantined marks an app whose user-supplied Sensor/Policy/Knob/

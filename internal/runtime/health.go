@@ -47,7 +47,7 @@ const (
 	// BackendHealthy: the backend commits epochs normally.
 	BackendHealthy BackendHealth = iota
 	// BackendDegraded: a commit overran the kernel's BackendTimeout.
-	// The slot's lane is rerouted and its apps evacuate; the stalled
+	// The slot's batches are rerouted and its apps evacuate; the stalled
 	// commit keeps running, and its eventual completion heals the slot.
 	BackendDegraded
 	// BackendFailed: the backend panicked inside a commit. The slot
@@ -145,7 +145,7 @@ func (p NoHealthyPolicy) String() string {
 func (k *Kernel) SetNoHealthyPolicy(p NoHealthyPolicy) { k.noHealthy.Store(int32(p)) }
 
 // SetBackendTimeout arms the per-commit deadline: a backend epoch
-// running longer than d marks the slot Degraded, reroutes its lane and
+// running longer than d marks the slot Degraded, reroutes its batches and
 // evacuates its apps, while the stalled commit finishes on its own
 // goroutine (healing the slot when it completes). Zero (the default)
 // disables the deadline — commits are then synchronous on the epoch
@@ -516,7 +516,7 @@ func (k *Kernel) runCommit(bs *backendSlot, dt float64, tasks []*simhpc.Task, wo
 }
 
 // commitOnce is runCommit plus the sequence bump every successful
-// commit performs — the commit invariant all protocols share.
+// commit performs.
 func (k *Kernel) commitOnce(bs *backendSlot, dt float64, tasks []*simhpc.Task, workers int) (rtrm.EpochReport, bool) {
 	rep, ok := k.runCommit(bs, dt, tasks, workers)
 	if ok {
@@ -561,7 +561,7 @@ func (k *Kernel) commitBounded(bs *backendSlot, dt float64, tasks []*simhpc.Task
 		}
 		// Abandoned: the waiter is gone. Settle the slot — heal a
 		// stall-degraded slot once the last in-flight commit returns
-		// (queued lane batches behind the stall each pass through here).
+		// (commits queued behind the stall each pass through here).
 		idle := bs.inflight.Add(-1) == 0
 		if cok && idle {
 			k.healStalledBackend(bs)

@@ -37,12 +37,7 @@ func (f *faultBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochRe
 
 func (f *faultBackend) Stats() rtrm.Stats { return f.inner.Stats() }
 
-// allProtocols is the failure-domain test matrix: the guarantees hold
-// under every epoch commit protocol.
-var allProtocols = []EpochProtocol{Barrier, PerBackendClock, OptimisticMerge}
-
-// waitHealth polls the non-blocking BackendState atomics (BackendStats
-// would block on the commit lock of a mid-stall healthy slot).
+// waitHealth polls one slot's BackendState atomics.
 func waitHealth(t *testing.T, k *Kernel, name string, h BackendHealth) {
 	t.Helper()
 	waitFor(t, fmt.Sprintf("backend %s %s", name, h), func() bool {
@@ -95,49 +90,47 @@ func TestDrainRemoveLifecycleSync(t *testing.T) {
 // migrates its apps to the survivors at a generation boundary and work
 // continues; the drained backend is removable and its name reusable.
 func TestDrainBackendEvacuatesLive(t *testing.T) {
-	for _, proto := range allProtocols {
-		t.Run(proto.String(), func(t *testing.T) {
-			k := protocolKernel(t, proto)
-			if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
-				t.Fatal(err)
-			}
-			defer k.Stop()
-			waitFor(t, "both apps working", func() bool {
-				tot := k.TotalsPerApp()
-				return tot["app0"] > 0 && tot["app1"] > 0
-			})
-
-			if err := k.DrainBackend("b1"); err != nil {
-				t.Fatalf("drain b1: %v", err)
-			}
-			if st, _, ok := k.BackendState("b1"); !ok || st != "drained" {
-				t.Errorf("b1 state = %q, want drained", st)
-			}
-			// app1 was pinned to b1; the pin no longer resolves, so it
-			// lands on b0 and keeps contributing.
-			waitFor(t, "app1 evacuated to b0", func() bool {
-				return k.AppBackend("app1") == "b0"
-			})
-			before := k.TotalsPerApp()["app1"]
-			waitFor(t, "app1 progress after evacuation", func() bool {
-				return k.TotalsPerApp()["app1"] > before
-			})
-
-			if err := k.RemoveBackend("b1"); err != nil {
-				t.Fatalf("remove drained b1: %v", err)
-			}
-			if err := k.AddBackend("b1", testManagerAt(2, 15)); err != nil {
-				t.Fatalf("re-add b1: %v", err)
-			}
-			// The pin resolves again: app1 migrates home.
-			waitFor(t, "app1 back on b1", func() bool {
-				return k.AppBackend("app1") == "b1"
-			})
-			if err := k.Err(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("barrier", func(t *testing.T) {
+		k := pinnedPairKernel(t)
+		if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		defer k.Stop()
+		waitFor(t, "both apps working", func() bool {
+			tot := k.TotalsPerApp()
+			return tot["app0"] > 0 && tot["app1"] > 0
 		})
-	}
+
+		if err := k.DrainBackend("b1"); err != nil {
+			t.Fatalf("drain b1: %v", err)
+		}
+		if st, _, ok := k.BackendState("b1"); !ok || st != "drained" {
+			t.Errorf("b1 state = %q, want drained", st)
+		}
+		// app1 was pinned to b1; the pin no longer resolves, so it
+		// lands on b0 and keeps contributing.
+		waitFor(t, "app1 evacuated to b0", func() bool {
+			return k.AppBackend("app1") == "b0"
+		})
+		before := k.TotalsPerApp()["app1"]
+		waitFor(t, "app1 progress after evacuation", func() bool {
+			return k.TotalsPerApp()["app1"] > before
+		})
+
+		if err := k.RemoveBackend("b1"); err != nil {
+			t.Fatalf("remove drained b1: %v", err)
+		}
+		if err := k.AddBackend("b1", testManagerAt(2, 15)); err != nil {
+			t.Fatalf("re-add b1: %v", err)
+		}
+		// The pin resolves again: app1 migrates home.
+		waitFor(t, "app1 back on b1", func() bool {
+			return k.AppBackend("app1") == "b1"
+		})
+		if err := k.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestDrainBackendWhileDraining: a second drain of an in-flight drain
@@ -194,98 +187,81 @@ func TestDrainBackendWhileDraining(t *testing.T) {
 
 // TestBackendPanicContained: a backend panic mid-commit fails the slot
 // and evacuates its apps; the kernel stays alive, the panic is captured
-// on the slot's stats, and ReviveBackend restores service. Holds under
-// every protocol.
+// on the slot's stats, and ReviveBackend restores service.
 func TestBackendPanicContained(t *testing.T) {
-	for _, proto := range allProtocols {
-		t.Run(proto.String(), func(t *testing.T) {
-			fb := &faultBackend{inner: testManagerAt(2, 15)}
-			k := NewKernel(testManagerAt(2, 15))
-			if err := k.AddBackend("b1", fb); err != nil {
-				t.Fatal(err)
-			}
-			k.SetProtocol(proto)
-			for i := 0; i < 2; i++ {
-				spec := pinnedSpec(fmt.Sprintf("app%d", i), fmt.Sprintf("b%d", i), simhpc.NewWorkloadGen(uint64(7+i)), 2)
-				if _, err := k.Attach(spec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
-				t.Fatal(err)
-			}
-			defer k.Stop()
-			waitFor(t, "b1 commits", func() bool { return k.TotalsPerApp()["app1"] > 0 })
+	t.Run("barrier", func(t *testing.T) {
+		fb := &faultBackend{inner: testManagerAt(2, 15)}
+		k := NewKernel(testManagerAt(2, 15))
+		if err := k.AddBackend("b1", fb); err != nil {
+			t.Fatal(err)
+		}
+		attachPinnedPair(t, k)
+		if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		defer k.Stop()
+		waitFor(t, "b1 commits", func() bool { return k.TotalsPerApp()["app1"] > 0 })
 
-			fb.panicNext.Store(true)
-			waitHealth(t, k, "b1", BackendFailed)
+		fb.panicNext.Store(true)
+		waitHealth(t, k, "b1", BackendFailed)
 
-			// Kernel alive: epochs keep advancing and the failed slot's
-			// app keeps contributing from a healthy backend.
-			e0 := k.Epochs()
-			waitFor(t, "epochs advance past failure", func() bool { return k.Epochs() >= e0+5 })
-			waitFor(t, "app1 evacuated", func() bool { return k.AppBackend("app1") == "b0" })
-			before := k.TotalsPerApp()["app1"]
-			waitFor(t, "app1 progress after failure", func() bool {
-				return k.TotalsPerApp()["app1"] > before
-			})
-			var failed BackendStats
-			for _, st := range k.BackendStats() {
-				if st.Name == "b1" {
-					failed = st
-				}
-			}
-			if !strings.Contains(failed.LastErr, "injected fault") {
-				t.Errorf("captured panic missing from LastErr: %q", failed.LastErr)
-			}
-
-			if err := k.ReviveBackend("b1"); err != nil {
-				t.Fatalf("revive: %v", err)
-			}
-			waitHealth(t, k, "b1", BackendHealthy)
-			waitFor(t, "app1 back on b1", func() bool { return k.AppBackend("app1") == "b1" })
-			if err := k.Err(); err != nil {
-				t.Fatal(err)
-			}
+		// Kernel alive: epochs keep advancing and the failed slot's
+		// app keeps contributing from a healthy backend.
+		e0 := k.Epochs()
+		waitFor(t, "epochs advance past failure", func() bool { return k.Epochs() >= e0+5 })
+		waitFor(t, "app1 evacuated", func() bool { return k.AppBackend("app1") == "b0" })
+		before := k.TotalsPerApp()["app1"]
+		waitFor(t, "app1 progress after failure", func() bool {
+			return k.TotalsPerApp()["app1"] > before
 		})
-	}
+		var failed BackendStats
+		for _, st := range k.BackendStats() {
+			if st.Name == "b1" {
+				failed = st
+			}
+		}
+		if !strings.Contains(failed.LastErr, "injected fault") {
+			t.Errorf("captured panic missing from LastErr: %q", failed.LastErr)
+		}
+
+		if err := k.ReviveBackend("b1"); err != nil {
+			t.Fatalf("revive: %v", err)
+		}
+		waitHealth(t, k, "b1", BackendHealthy)
+		waitFor(t, "app1 back on b1", func() bool { return k.AppBackend("app1") == "b1" })
+		if err := k.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestBackendStallDegradesThenHeals: a commit overrunning the backend
 // timeout degrades the slot (evacuating it) without blocking the epoch;
 // when the stalled commit finally lands, the slot self-heals.
 func TestBackendStallDegradesThenHeals(t *testing.T) {
-	for _, proto := range allProtocols {
-		t.Run(proto.String(), func(t *testing.T) {
-			fb := &faultBackend{inner: testManagerAt(2, 15)}
-			k := NewKernel(testManagerAt(2, 15))
-			if err := k.AddBackend("b1", fb); err != nil {
-				t.Fatal(err)
-			}
-			k.SetProtocol(proto)
-			k.SetBackendTimeout(10 * time.Millisecond)
-			for i := 0; i < 2; i++ {
-				spec := pinnedSpec(fmt.Sprintf("app%d", i), fmt.Sprintf("b%d", i), simhpc.NewWorkloadGen(uint64(7+i)), 2)
-				if _, err := k.Attach(spec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
-				t.Fatal(err)
-			}
-			defer k.Stop()
-			waitFor(t, "b1 commits", func() bool { return k.TotalsPerApp()["app1"] > 0 })
+	t.Run("barrier", func(t *testing.T) {
+		fb := &faultBackend{inner: testManagerAt(2, 15)}
+		k := NewKernel(testManagerAt(2, 15))
+		if err := k.AddBackend("b1", fb); err != nil {
+			t.Fatal(err)
+		}
+		k.SetBackendTimeout(10 * time.Millisecond)
+		attachPinnedPair(t, k)
+		if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		defer k.Stop()
+		waitFor(t, "b1 commits", func() bool { return k.TotalsPerApp()["app1"] > 0 })
 
-			fb.stallNS.Store(int64(150 * time.Millisecond))
-			waitHealth(t, k, "b1", BackendDegraded)
-			// The stalled commit completes in the background and heals
-			// the slot; no revive needed.
-			waitHealth(t, k, "b1", BackendHealthy)
-			if err := k.Err(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		fb.stallNS.Store(int64(150 * time.Millisecond))
+		waitHealth(t, k, "b1", BackendDegraded)
+		// The stalled commit completes in the background and heals
+		// the slot; no revive needed.
+		waitHealth(t, k, "b1", BackendHealthy)
+		if err := k.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestReviveBackendSemantics: revive refuses unknown and non-idle slots
@@ -367,63 +343,60 @@ var appPanicCases = []appPanicCase{
 // TestAppPanicQuarantined: a panic in any user-supplied stage (workload,
 // policy, knob) quarantines that app — captured on its status, excluded
 // from future epochs — and never takes down the kernel or its tenants.
-// Holds under every protocol, with -race.
+// Holds with -race.
 func TestAppPanicQuarantined(t *testing.T) {
-	for _, proto := range allProtocols {
-		for _, tc := range appPanicCases {
-			t.Run(fmt.Sprintf("%s/%s", proto, tc.name), func(t *testing.T) {
-				k := NewKernel(testManager(2), testManager(2))
-				k.SetProtocol(proto)
-				var arm atomic.Bool
-				victim, err := k.Attach(tc.spec(&arm, simhpc.NewWorkloadGen(5)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := k.Attach(simpleSpec("bystander", simhpc.NewWorkloadGen(9), 2)); err != nil {
-					t.Fatal(err)
-				}
-				if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
-					t.Fatal(err)
-				}
-				defer k.Stop()
-				waitFor(t, "victim working", func() bool { return victim.Ticks() > 2 })
+	for _, tc := range appPanicCases {
+		t.Run("barrier/"+tc.name, func(t *testing.T) {
+			k := NewKernel(testManager(2), testManager(2))
+			var arm atomic.Bool
+			victim, err := k.Attach(tc.spec(&arm, simhpc.NewWorkloadGen(5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := k.Attach(simpleSpec("bystander", simhpc.NewWorkloadGen(9), 2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
+			defer k.Stop()
+			waitFor(t, "victim working", func() bool { return victim.Ticks() > 2 })
 
-				arm.Store(true)
-				if tc.name != "workload" {
-					// Violating samples make the SLA fire, reaching the
-					// panicking policy/knob.
-					go func() {
-						for !victim.Quarantined() && k.Err() == nil {
-							victim.Push(monitor.MetricLatency, 9)
-							time.Sleep(200 * time.Microsecond)
-						}
-					}()
-				}
-				waitFor(t, "victim quarantined", func() bool { return victim.Quarantined() })
-				if !strings.Contains(victim.LastError(), "exploded") {
-					t.Errorf("LastError = %q, want captured panic", victim.LastError())
-				}
+			arm.Store(true)
+			if tc.name != "workload" {
+				// Violating samples make the SLA fire, reaching the
+				// panicking policy/knob.
+				go func() {
+					for !victim.Quarantined() && k.Err() == nil {
+						victim.Push(monitor.MetricLatency, 9)
+						time.Sleep(200 * time.Microsecond)
+					}
+				}()
+			}
+			waitFor(t, "victim quarantined", func() bool { return victim.Quarantined() })
+			if !strings.Contains(victim.LastError(), "exploded") {
+				t.Errorf("LastError = %q, want captured panic", victim.LastError())
+			}
 
-				// Kernel and bystander unaffected.
-				e0 := k.Epochs()
-				waitFor(t, "epochs advance past quarantine", func() bool { return k.Epochs() >= e0+5 })
-				before := k.TotalsPerApp()["bystander"]
-				waitFor(t, "bystander progress", func() bool {
-					return k.TotalsPerApp()["bystander"] > before
-				})
-				// The quarantined app stops ticking.
-				ticks := victim.Ticks()
-				waitFor(t, "a few more epochs", func() bool { return k.Epochs() >= e0+10 })
-				if victim.Ticks() > ticks+1 {
-					t.Errorf("quarantined app kept ticking: %d -> %d", ticks, victim.Ticks())
-				}
-				// The kernel error ledger records the tenant fault (the
-				// same convention workload errors use) — and nothing worse.
-				if err := k.Err(); err == nil || !strings.Contains(err.Error(), "exploded") {
-					t.Errorf("kernel Err = %v, want the recorded app panic", err)
-				}
+			// Kernel and bystander unaffected.
+			e0 := k.Epochs()
+			waitFor(t, "epochs advance past quarantine", func() bool { return k.Epochs() >= e0+5 })
+			before := k.TotalsPerApp()["bystander"]
+			waitFor(t, "bystander progress", func() bool {
+				return k.TotalsPerApp()["bystander"] > before
 			})
-		}
+			// The quarantined app stops ticking.
+			ticks := victim.Ticks()
+			waitFor(t, "a few more epochs", func() bool { return k.Epochs() >= e0+10 })
+			if victim.Ticks() > ticks+1 {
+				t.Errorf("quarantined app kept ticking: %d -> %d", ticks, victim.Ticks())
+			}
+			// The kernel error ledger records the tenant fault (the
+			// same convention workload errors use) — and nothing worse.
+			if err := k.Err(); err == nil || !strings.Contains(err.Error(), "exploded") {
+				t.Errorf("kernel Err = %v, want the recorded app panic", err)
+			}
+		})
 	}
 }
 
@@ -543,74 +516,71 @@ func TestBackendEventsLifecycle(t *testing.T) {
 // kernel's offered ledger still equals — bit for bit — what the
 // workload closures produced.
 func TestTotalsExactUnderBackendFailure(t *testing.T) {
-	for _, proto := range allProtocols {
-		t.Run(proto.String(), func(t *testing.T) {
-			fb := &faultBackend{inner: testManagerAt(2, 15)}
-			k := NewKernel(testManagerAt(2, 15))
-			if err := k.AddBackend("b1", fb); err != nil {
-				t.Fatal(err)
-			}
-			k.SetProtocol(proto)
-			k.SetBackendTimeout(10 * time.Millisecond)
+	t.Run("barrier", func(t *testing.T) {
+		fb := &faultBackend{inner: testManagerAt(2, 15)}
+		k := NewKernel(testManagerAt(2, 15))
+		if err := k.AddBackend("b1", fb); err != nil {
+			t.Fatal(err)
+		}
+		k.SetBackendTimeout(10 * time.Millisecond)
 
-			var mu sync.Mutex
-			expected := map[string]float64{}
-			gen := simhpc.NewWorkloadGen(11)
-			var genMu sync.Mutex
-			for i := 0; i < 4; i++ {
-				name := fmt.Sprintf("app%d", i)
-				hint := fmt.Sprintf("b%d", i%2)
-				if _, err := k.Attach(AppSpec{
-					Name:    name,
-					Backend: hint,
-					Workload: func() ([]*simhpc.Task, error) {
-						genMu.Lock()
-						tasks := gen.Mix(2, 1, 1, 1, 8)
-						genMu.Unlock()
-						sum := 0.0
-						for _, task := range tasks {
-							sum += task.GFlop
-						}
-						mu.Lock()
-						expected[name] += sum
-						mu.Unlock()
-						return tasks, nil
-					},
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
+		var mu sync.Mutex
+		expected := map[string]float64{}
+		gen := simhpc.NewWorkloadGen(11)
+		var genMu sync.Mutex
+		for i := 0; i < 4; i++ {
+			name := fmt.Sprintf("app%d", i)
+			hint := fmt.Sprintf("b%d", i%2)
+			if _, err := k.Attach(AppSpec{
+				Name:    name,
+				Backend: hint,
+				Workload: func() ([]*simhpc.Task, error) {
+					genMu.Lock()
+					tasks := gen.Mix(2, 1, 1, 1, 8)
+					genMu.Unlock()
+					sum := 0.0
+					for _, task := range tasks {
+						sum += task.GFlop
+					}
+					mu.Lock()
+					expected[name] += sum
+					mu.Unlock()
+					return tasks, nil
+				},
+			}); err != nil {
 				t.Fatal(err)
 			}
-			defer k.Stop()
-			waitFor(t, "all apps working", func() bool {
-				tot := k.TotalsPerApp()
-				return tot["app0"] > 0 && tot["app1"] > 0 && tot["app2"] > 0 && tot["app3"] > 0
-			})
-
-			fb.panicNext.Store(true)
-			waitHealth(t, k, "b1", BackendFailed)
-			e0 := k.Epochs()
-			waitFor(t, "epochs after failure", func() bool { return k.Epochs() >= e0+10 })
-			if err := k.ReviveBackend("b1"); err != nil {
-				t.Fatal(err)
-			}
-			waitHealth(t, k, "b1", BackendHealthy)
-			waitFor(t, "epochs after revive", func() bool { return k.Epochs() >= e0+30 })
-			k.Stop()
-			if err := k.Err(); err != nil {
-				t.Fatal(err)
-			}
-
-			totals := k.TotalsPerApp()
-			mu.Lock()
-			defer mu.Unlock()
-			for name, want := range expected {
-				if got := totals[name]; got != want {
-					t.Errorf("%s: ledger %v, workload produced %v", name, got, want)
-				}
-			}
+		}
+		if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		defer k.Stop()
+		waitFor(t, "all apps working", func() bool {
+			tot := k.TotalsPerApp()
+			return tot["app0"] > 0 && tot["app1"] > 0 && tot["app2"] > 0 && tot["app3"] > 0
 		})
-	}
+
+		fb.panicNext.Store(true)
+		waitHealth(t, k, "b1", BackendFailed)
+		e0 := k.Epochs()
+		waitFor(t, "epochs after failure", func() bool { return k.Epochs() >= e0+10 })
+		if err := k.ReviveBackend("b1"); err != nil {
+			t.Fatal(err)
+		}
+		waitHealth(t, k, "b1", BackendHealthy)
+		waitFor(t, "epochs after revive", func() bool { return k.Epochs() >= e0+30 })
+		k.Stop()
+		if err := k.Err(); err != nil {
+			t.Fatal(err)
+		}
+
+		totals := k.TotalsPerApp()
+		mu.Lock()
+		defer mu.Unlock()
+		for name, want := range expected {
+			if got := totals[name]; got != want {
+				t.Errorf("%s: ledger %v, workload produced %v", name, got, want)
+			}
+		}
+	})
 }

@@ -38,8 +38,7 @@ type inboxChunk struct {
 // lock-free ingress): Push claims a slot with one atomic add and never
 // takes a lock, so producers never contend with Collect or with a
 // slower producer holding a mutex. Collect walks the chunk chain behind
-// a consumer-side mutex that producers never touch. LockedInbox is the
-// retained mutex-guarded baseline (benchmark K3 compares the two).
+// a consumer-side mutex that producers never touch.
 type Inbox struct {
 	first atomic.Pointer[inboxChunk] // anchor for the collector, set once
 	tail  atomic.Pointer[inboxChunk] // where producers claim slots
@@ -217,35 +216,3 @@ func (in *Inbox) Collect() []Sample {
 // Len returns the number of buffered samples (approximate while
 // producers and collectors are active, exact at rest).
 func (in *Inbox) Len() int { return int(in.pending.Load()) }
-
-// LockedInbox is the PR-1 mutex-guarded sample buffer, retained as the
-// CCBench-style contention baseline for the K3 ingestion benchmark
-// (BenchmarkInboxIngest): every Push contends with every other producer
-// and with Collect on one mutex. New code should use Inbox.
-type LockedInbox struct {
-	mu  sync.Mutex
-	buf []Sample
-}
-
-// Push records a sample.
-func (in *LockedInbox) Push(metric string, v float64) {
-	in.mu.Lock()
-	in.buf = append(in.buf, Sample{Metric: metric, Value: v})
-	in.mu.Unlock()
-}
-
-// Collect drains and returns the buffered samples.
-func (in *LockedInbox) Collect() []Sample {
-	in.mu.Lock()
-	out := in.buf
-	in.buf = nil
-	in.mu.Unlock()
-	return out
-}
-
-// Len returns the number of buffered samples.
-func (in *LockedInbox) Len() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.buf)
-}

@@ -7,89 +7,73 @@ import (
 	"testing"
 )
 
-// inboxLike covers both ingestion buffers so the stress tests run
-// against the lock-free ring and the mutexed baseline alike.
-type inboxLike interface {
-	Push(metric string, v float64)
-	Collect() []Sample
-	Len() int
-}
-
 // TestInboxStress is the ring's correctness gauntlet (run under -race
 // in CI): N producers push tagged samples while a collector drains
 // concurrently; afterwards every sample must have arrived exactly once.
 func TestInboxStress(t *testing.T) {
-	for _, impl := range []struct {
-		name string
-		mk   func() inboxLike
-	}{
-		{"ring", func() inboxLike { return &Inbox{} }},
-		{"locked", func() inboxLike { return &LockedInbox{} }},
-	} {
-		t.Run(impl.name, func(t *testing.T) {
-			const producers = 8
-			// Enough samples per producer to force many chunk handoffs.
-			const per = 4 * inboxChunkSize
-			in := impl.mk()
+	t.Run("ring", func(t *testing.T) {
+		const producers = 8
+		// Enough samples per producer to force many chunk handoffs.
+		const per = 4 * inboxChunkSize
+		in := &Inbox{}
 
-			var wg sync.WaitGroup
-			var producing atomic.Int32
-			producing.Store(producers)
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					defer producing.Add(-1)
-					metric := fmt.Sprintf("m%d", p)
-					for i := 0; i < per; i++ {
-						in.Push(metric, float64(i))
-					}
-				}(p)
-			}
-
-			// Collector races the producers, then drains the remainder.
-			seen := make(map[string][]bool)
-			record := func(batch []Sample) {
-				for _, s := range batch {
-					marks := seen[s.Metric]
-					if marks == nil {
-						marks = make([]bool, per)
-						seen[s.Metric] = marks
-					}
-					i := int(s.Value)
-					if i < 0 || i >= per {
-						t.Errorf("%s: impossible sample %v", s.Metric, s.Value)
-						continue
-					}
-					if marks[i] {
-						t.Errorf("%s: sample %d delivered twice", s.Metric, i)
-					}
-					marks[i] = true
-				}
-			}
-			for producing.Load() > 0 {
-				record(in.Collect())
-			}
-			wg.Wait()
-			record(in.Collect())
-
-			for p := 0; p < producers; p++ {
+		var wg sync.WaitGroup
+		var producing atomic.Int32
+		producing.Store(producers)
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				defer producing.Add(-1)
 				metric := fmt.Sprintf("m%d", p)
-				marks := seen[metric]
+				for i := 0; i < per; i++ {
+					in.Push(metric, float64(i))
+				}
+			}(p)
+		}
+
+		// Collector races the producers, then drains the remainder.
+		seen := make(map[string][]bool)
+		record := func(batch []Sample) {
+			for _, s := range batch {
+				marks := seen[s.Metric]
 				if marks == nil {
-					t.Fatalf("%s: no samples arrived", metric)
+					marks = make([]bool, per)
+					seen[s.Metric] = marks
 				}
-				for i, ok := range marks {
-					if !ok {
-						t.Fatalf("%s: sample %d lost", metric, i)
-					}
+				i := int(s.Value)
+				if i < 0 || i >= per {
+					t.Errorf("%s: impossible sample %v", s.Metric, s.Value)
+					continue
+				}
+				if marks[i] {
+					t.Errorf("%s: sample %d delivered twice", s.Metric, i)
+				}
+				marks[i] = true
+			}
+		}
+		for producing.Load() > 0 {
+			record(in.Collect())
+		}
+		wg.Wait()
+		record(in.Collect())
+
+		for p := 0; p < producers; p++ {
+			metric := fmt.Sprintf("m%d", p)
+			marks := seen[metric]
+			if marks == nil {
+				t.Fatalf("%s: no samples arrived", metric)
+			}
+			for i, ok := range marks {
+				if !ok {
+					t.Fatalf("%s: sample %d lost", metric, i)
 				}
 			}
-			if n := in.Len(); n != 0 {
-				t.Errorf("Len after full drain: %d", n)
-			}
-		})
-	}
+		}
+		if n := in.Len(); n != 0 {
+			t.Errorf("Len after full drain: %d", n)
+		}
+	})
 }
 
 // TestInboxOrderPerProducer: the ring must preserve each producer's

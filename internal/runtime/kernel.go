@@ -80,20 +80,20 @@ var (
 //
 // The epoch fast path is allocation-free in steady state: the merged
 // task list and fan-out buffers are kernel-owned scratch reused across
-// epochs, and epochMu — the serial section every app waits on — covers
-// only the manager epoch itself plus the totals update. Merging,
-// ticking and workload materialization all happen outside it. A
-// membership change allocates (new shards, channels, goroutines), but
-// that cost is paid once per generation, not per epoch.
+// epochs, and the serial section every app waits on covers only the
+// backend epochs themselves, each under its backend's commit mutex.
+// Merging, ticking and workload materialization all happen outside
+// it. A membership change allocates (new shards, channels,
+// goroutines), but that cost is paid once per generation, not per
+// epoch.
 type Kernel struct {
-	mu         sync.Mutex // guards apps, byName, backends, byBackend, placement, protocol, placeGen, running, cancel, memGen, memChanged, detachedTotals, pendingRetire
+	mu         sync.Mutex // guards apps, byName, backends, byBackend, placement, placeGen, running, cancel, memGen, memChanged, detachedTotals, pendingRetire
 	apps       []*Controller
 	byName     map[string]*Controller
 	backends   []*backendSlot // copy-on-write: AddBackend replaces the slice
 	byBackend  map[string]int
 	placement  Placement
-	protocol   EpochProtocol // epoch commit protocol; engine adopts it per generation
-	placeGen   int64         // membership epoch the current assignments were computed for
+	placeGen   int64 // membership epoch the current assignments were computed for
 	running    bool
 	cancel     context.CancelFunc
 	wg         sync.WaitGroup
@@ -102,8 +102,7 @@ type Kernel struct {
 
 	servedGen atomic.Int64 // generation the concurrent loops currently serve
 
-	syncMu  sync.Mutex // serializes whole synchronous RunEpoch calls
-	epochMu sync.Mutex // Barrier protocol's global serial section around backend epochs
+	syncMu sync.Mutex // serializes whole synchronous RunEpoch calls
 
 	// Cumulative per-app offered GFlop lives on each Controller as an
 	// atomic (single writer: the epoch engine commits an app's work on
@@ -116,19 +115,6 @@ type Kernel struct {
 	detachedTotals map[string]float64
 	pendingRetire  []*Controller
 	epochs         atomic.Int64
-
-	// protoActive mirrors the protocol the engine currently runs —
-	// written at quiescent points, read by status paths to pick their
-	// snapshot discipline. Safe to be briefly stale: every protocol's
-	// commit path holds the backend commit mutex and republishes the
-	// seqlock cell, so either reader discipline is correct at any time;
-	// only the CommitLockReads attribution depends on it.
-	protoActive atomic.Int32
-	// epochProto is the engine's own snapshot of the protocol, written
-	// with epochBackends (same quiescent-point discipline).
-	epochProto EpochProtocol
-	// commitLockReads counts status reads that took a commit lock.
-	commitLockReads atomic.Int64
 
 	// loadMu guards the per-backend placement telemetry (backendSlot
 	// offered/deferredEWMA/apps). A leaf lock: never held while taking
@@ -176,12 +162,9 @@ type Kernel struct {
 	eventCount atomic.Int32
 
 	// Many-core wake path (wake.go). wakeOps counts every operation
-	// that can wake an epoch-machinery goroutine (channel sends,
-	// doorbell rings, park tokens, lane wakes) — K12's wakeups/epoch
-	// metric. epochWake is the generation's wake mode, written at the
-	// same quiescent points as epochProto.
-	wakeOps   atomic.Int64
-	epochWake WakeMode
+	// that can wake an epoch-machinery goroutine (doorbell rings, park
+	// tokens) — K12's wakeups/epoch metric.
+	wakeOps atomic.Int64
 
 	// Topology snapshot of the serving generation: the GOMAXPROCS it
 	// was shaped for, the shard-loop count it chose, and whether a
@@ -212,18 +195,19 @@ type backendSlot struct {
 	// sub-stages and fan its dispatch loop out across workers.
 	staged EpochStager
 
-	// commitMu serializes this backend's epoch commits against status
-	// readers (Barrier and PerBackendClock reads) and against each
-	// other across protocol switches. Every protocol's commit path
-	// holds it around RunEpoch plus the stats republish.
+	// commitMu serializes this backend's epoch commits against each
+	// other: a deadline-abandoned commit still running in the background
+	// must not overlap the next one. Every commit path holds it around
+	// the backend epoch plus the stats republish; status readers never
+	// take it (they snapshot cell).
 	commitMu sync.Mutex
 	// seq is the backend's epoch sequence number: bumped on every
-	// commit, under any protocol. The control plane's SSE stream keys
-	// its per-backend coalescing on it, so a commit on one backend
-	// wakes subscribers even when the global epoch counter has not
-	// moved since they last looked.
+	// commit. The control plane's SSE stream keys its per-backend
+	// coalescing on it, so a commit on one backend wakes subscribers
+	// even when the global epoch counter has not moved since they last
+	// looked.
 	seq atomic.Int64
-	// cell is the seqlock OptimisticMerge readers snapshot.
+	// cell is the seqlock status readers snapshot.
 	cell statsCell
 
 	// Epoch scratch — same ownership discipline as Kernel.mergedTasks.
@@ -425,9 +409,9 @@ type BackendStats struct {
 	// last placement refresh.
 	Apps int
 	// Seq is the backend's epoch sequence number: it advances on every
-	// commit this backend runs, under any protocol. Unlike the global
-	// kernel epoch counter it is per backend, so stream consumers can
-	// tell which backend moved (see the control plane's SSE coalescing).
+	// commit this backend runs. Unlike the global kernel epoch counter
+	// it is per backend, so stream consumers can tell which backend
+	// moved (see the control plane's SSE coalescing).
 	Seq int64
 	// Health is the backend's failure-domain health (see BackendHealth).
 	Health BackendHealth
@@ -458,34 +442,18 @@ func fromStats(s rtrm.Stats) ManagerStats {
 // Numeric counters sum across backends; Epochs is the number of kernel
 // epochs (with one backend this equals the backend's own epoch count;
 // with several, backends only run epochs when apps placed on them
-// contribute). Under Barrier and PerBackendClock the snapshot locks
-// each backend's commit mutex in turn; under OptimisticMerge it is a
-// lock-free seqlock read (see EpochProtocol, CommitLockReads).
-// Removed backends still contribute: the merged cumulative sums never
-// step backwards across a RemoveBackend. A backend that is not Healthy
-// is always read through its seqlock cell, whatever the protocol — a
-// stalled commit holds the commit mutex indefinitely, and status reads
-// must not block behind it.
+// contribute). Each backend is read through its seqlock cell (see
+// statsCell), never its commit mutex — a slow or stalled commit holds
+// that mutex for as long as it runs, and status reads must not block
+// behind it. Removed backends still contribute: the merged cumulative
+// sums never step backwards across a RemoveBackend.
 func (k *Kernel) ManagerStats() ManagerStats {
 	k.mu.Lock()
 	bks := k.backends
 	k.mu.Unlock()
 	var out ManagerStats
-	lockReads := EpochProtocol(k.protoActive.Load()) != OptimisticMerge
-	counted := false
 	for _, bs := range bks {
-		var s rtrm.Stats
-		if lockReads && bs.health.Load() == int32(BackendHealthy) {
-			if !counted {
-				k.commitLockReads.Add(1)
-				counted = true
-			}
-			bs.commitMu.Lock()
-			s = bs.be.Stats()
-			bs.commitMu.Unlock()
-		} else {
-			s, _ = bs.cell.snapshot()
-		}
+		s, _ := bs.cell.snapshot()
 		out.WorkGFlop += s.WorkGFlop
 		out.DeferredGFlop += s.DeferredGFlop
 		out.EnergyJ += s.EnergyJ
@@ -497,8 +465,7 @@ func (k *Kernel) ManagerStats() ManagerStats {
 }
 
 // BackendStats snapshots each backend's telemetry in registration
-// order, with the same per-protocol read discipline as ManagerStats
-// (and the same always-seqlock rule for unhealthy backends). Removed
+// order, through the same seqlock cells as ManagerStats. Removed
 // backends are omitted; live ones carry their health, lifecycle state
 // and last failure reason.
 func (k *Kernel) BackendStats() []BackendStats {
@@ -520,26 +487,10 @@ func (k *Kernel) BackendStats() []BackendStats {
 		})
 	}
 	k.mu.Unlock()
-	optimistic := EpochProtocol(k.protoActive.Load()) == OptimisticMerge
-	counted := false
 	for i, bs := range bks {
-		if optimistic || out[i].Health != BackendHealthy {
-			s, apps := bs.cell.snapshot()
-			out[i].Apps = apps
-			out[i].ManagerStats = fromStats(s)
-			continue
-		}
-		if !counted {
-			k.commitLockReads.Add(1)
-			counted = true
-		}
-		bs.commitMu.Lock()
-		s := bs.be.Stats()
-		bs.commitMu.Unlock()
+		s, apps := bs.cell.snapshot()
+		out[i].Apps = apps
 		out[i].ManagerStats = fromStats(s)
-		k.loadMu.Lock()
-		out[i].Apps = bs.apps
-		k.loadMu.Unlock()
 	}
 	return out
 }
@@ -759,10 +710,10 @@ func (k *Kernel) backendLoads(bks []*backendSlot) []BackendLoad {
 }
 
 // EpochSignal subscribes to epoch completions: the returned channel
-// receives a coalesced wakeup after every kernel epoch — and, under a
-// barrier-free protocol, after every individual backend commit, so a
-// late backend waking after the global epoch counter already moved
-// still wakes subscribers (buffered one deep — a slow consumer sees
+// receives a coalesced wakeup after every kernel epoch — and after a
+// deadline-abandoned backend commit finally lands, so a late backend
+// finishing after the global epoch counter already moved still wakes
+// subscribers (buffered one deep — a slow consumer sees
 // one pending signal, not a backlog). cancel releases the
 // subscription. With no subscribers the epoch path pays a single
 // atomic load. Consumers that must distinguish which backend moved
@@ -937,20 +888,18 @@ type contribution struct {
 
 // execute runs one kernel epoch over the merged contributions. It is
 // the single funnel for the synchronous driver, the degenerate
-// single-shard concurrent mode and the Barrier-protocol executor; the
-// barrier-free protocols' concurrent mode dispatches to per-backend
-// commit goroutines instead (see dispatchEpochs). Its callers are
-// serialized (see the scratch-field comment); merging stays outside
-// any lock, and the commit locks cover only the backend epochs
-// themselves. OnEpoch callbacks run here: on the caller's goroutine
-// in sync mode, on the kernel's epoch-executor goroutine in
+// single-shard concurrent mode and the per-generation executor. Its
+// callers are serialized (see the scratch-field comment); merging
+// stays outside any lock, and the commit locks cover only the backend
+// epochs themselves. OnEpoch callbacks run here: on the caller's
+// goroutine in sync mode, on the kernel's epoch-executor goroutine in
 // concurrent mode.
 func (k *Kernel) execute(dt float64, contribs []contribution) EpochResult {
 	var res EpochResult
 	if bks := k.epochBackends; len(bks) == 1 {
 		res = k.executeSingle(dt, contribs, bks[0])
 	} else {
-		res = k.executeRouted(dt, contribs, bks, k.epochProto == Barrier)
+		res = k.executeRouted(dt, contribs, bks)
 	}
 	for _, c := range contribs {
 		if c.ctl.spec.OnEpoch != nil {
@@ -964,12 +913,10 @@ func (k *Kernel) execute(dt float64, contribs []contribution) EpochResult {
 // executeSingle is the single-backend fast path: the pre-multi-backend
 // epoch, with no placement routing, no per-backend fan-out and no load
 // telemetry — one merge, one backend epoch, allocation-free on kernel
-// scratch. With one backend there is nothing for a barrier to order,
-// so every protocol takes this same path; the backend's commit mutex
-// is the whole serial section. The commit deadline never applies here
-// either — with a single backend there is nowhere to reroute a stalled
-// lane, so the commit stays synchronous and timer-free (the panic
-// guard still applies).
+// scratch. The backend's commit mutex is the whole serial section.
+// The commit deadline never applies here either — with a single
+// backend there is nowhere to reroute a stalled batch, so the commit
+// stays synchronous and timer-free (the panic guard still applies).
 func (k *Kernel) executeSingle(dt float64, contribs []contribution, bs *backendSlot) EpochResult {
 	all := k.mergedTasks[:0]
 	// PerApp escapes to OnEpoch observers and RunEpoch callers, who may
@@ -1014,18 +961,13 @@ func (k *Kernel) executeSingle(dt float64, contribs []contribution, bs *backendS
 // executeRouted is the multi-backend epoch: partition the merged
 // acceptance batch by each contributing app's placed backend, then run
 // every contributing backend's epoch concurrently; backends without
-// contributors this epoch do not run. Under the Barrier protocol
-// (global=true) the fan-out runs inside the global epochMu serial
-// section — the pre-protocol design, one batch-merged epoch at a time.
-// Under the per-backend-clock protocols (global=false) each backend
-// commits under only its own mutex; the call still waits for every
-// backend before returning, because its callers (the sync driver and
-// the degenerate single-shard loop) need the merged result — the
-// fully pipelined form lives in dispatchEpochs. Afterwards the
-// per-backend load telemetry feeds the placement policy, and an
-// EpochObserver policy may request the generation roll that migrates
-// an app.
-func (k *Kernel) executeRouted(dt float64, contribs []contribution, bks []*backendSlot, global bool) EpochResult {
+// contributors this epoch do not run. The call is the epoch barrier:
+// it waits for every contributing backend before returning, one
+// batch-merged epoch at a time (its callers are serialized — see
+// execute). Afterwards the per-backend load telemetry feeds the
+// placement policy, and an EpochObserver policy may request the
+// generation roll that migrates an app.
+func (k *Kernel) executeRouted(dt float64, contribs []contribution, bks []*backendSlot) EpochResult {
 	perApp := make(map[string]float64, len(contribs))
 	for _, bs := range bks {
 		bs.tasks = bs.tasks[:0]
@@ -1072,9 +1014,6 @@ func (k *Kernel) executeRouted(dt float64, contribs []contribution, bks []*backe
 		}
 	}
 
-	if global {
-		k.epochMu.Lock()
-	}
 	if nActive == 1 {
 		for _, bs := range bks {
 			if bs.active {
@@ -1108,12 +1047,7 @@ func (k *Kernel) executeRouted(dt float64, contribs []contribution, bks []*backe
 			wg.Wait()
 		}
 	}
-	epoch := k.epochs.Add(1)
-	if global {
-		k.epochMu.Unlock()
-	}
-
-	res := EpochResult{Epoch: epoch, PerApp: perApp}
+	res := EpochResult{Epoch: k.epochs.Add(1), PerApp: perApp}
 	if nActive > 0 {
 		res.Backends = make([]BackendEpoch, 0, nActive)
 	}
@@ -1156,19 +1090,10 @@ func (k *Kernel) executeRouted(dt float64, contribs []contribution, bks []*backe
 // busy while the scheduler collects and releases the next round of
 // batches. The handoff channel is unbuffered, so a send completing
 // proves the executor is done reading the previous epoch's
-// contribution buffer (Barrier: the epoch ran; barrier-free: the
-// tasks were copied into per-backend lanes) and it is free for reuse —
-// the scheduler double-buffers on that guarantee. Under a barrier-free
-// protocol with several backends the executor becomes a dispatcher
-// over per-backend commit goroutines; it winds those down (and waits
-// for them) when execCh closes, so the generation-roll drain guarantee
-// covers every lane.
+// contribution buffer (the epoch ran) and it is free for reuse — the
+// scheduler double-buffers on that guarantee.
 func (k *Kernel) executor(execCh <-chan []contribution, dt float64, wg *sync.WaitGroup) {
 	defer wg.Done()
-	if bks := k.epochBackends; k.epochProto != Barrier && len(bks) > 1 {
-		k.dispatchEpochs(execCh, dt, bks)
-		return
-	}
 	for contribs := range execCh {
 		k.execute(dt, contribs)
 	}
@@ -1208,8 +1133,6 @@ func (k *Kernel) RunEpoch(dt float64) (EpochResult, error) {
 	if len(k.backends) > 1 {
 		k.epochObserver, _ = k.placement.(EpochObserver)
 	}
-	k.epochProto = k.protocol
-	k.protoActive.Store(int32(k.protocol))
 	// Sync parks (no healthy backends under ParkAndRetry) have no
 	// generation context to watch — they wait for a revive alone.
 	k.parkCtx = nil
@@ -1311,10 +1234,6 @@ type Options struct {
 	// Flush bounds how long the scheduler waits for straggler apps
 	// before running an epoch with the batches at hand (default 100ms).
 	Flush time.Duration
-	// Wake selects the shard/lane wake handshake (default WakeNotify;
-	// WakeChannel keeps the legacy channel handshake as a measurable
-	// baseline). See WakeMode.
-	Wake WakeMode
 }
 
 func (o Options) withDefaults() Options {
@@ -1339,9 +1258,9 @@ type shard struct {
 	apps     []*Controller
 	contribs []contribution // this epoch's batch, reused every round
 
-	// Notify-mode wake state (wake.go). submitted counts batches
-	// handed to the scheduler (loop-local); accepted is the
-	// scheduler-published merge counter the shard spins-then-parks on;
+	// Wake state (wake.go). submitted counts batches handed to the
+	// scheduler (loop-local); accepted is the scheduler-published
+	// merge counter the shard spins-then-parks on;
 	// parked + park are the futex-style park/unpark pair (park buffered
 	// 1, allocation-free in steady state); next is the intrusive submit
 	// stack link. Acceptance is published before the manager epoch
@@ -1352,10 +1271,6 @@ type shard struct {
 	parked    atomic.Bool
 	park      chan struct{}
 	next      *shard
-
-	// acceptedCh is the channel-mode equivalent (buffered 1; a shard
-	// never has two batches in flight).
-	acceptedCh chan struct{}
 
 	// Paced generations only (pacer.go): the early-wake doorbell and the
 	// loop's reused pacing timer.
@@ -1423,7 +1338,6 @@ func (k *Kernel) supervise(ctx context.Context, opts Options) {
 		if len(bks) > 1 {
 			obs, _ = k.placement.(EpochObserver)
 		}
-		proto := k.protocol
 		gen := k.memGen
 		changed := make(chan struct{})
 		k.memChanged = changed
@@ -1432,9 +1346,6 @@ func (k *Kernel) supervise(ctx context.Context, opts Options) {
 		// fully quiesced before the supervisor loops back here.
 		k.epochBackends = bks
 		k.epochObserver = obs
-		k.epochProto = proto
-		k.epochWake = opts.Wake
-		k.protoActive.Store(int32(proto))
 		k.servedGen.Store(gen)
 		if ctx.Err() != nil {
 			return
@@ -1487,10 +1398,7 @@ func (k *Kernel) serveGeneration(ctx context.Context, changed <-chan struct{}, a
 	k.topoDrift.Store(false)
 	shards := make([]*shard, nShards)
 	for i := range shards {
-		shards[i] = &shard{
-			park:       make(chan struct{}, 1),
-			acceptedCh: make(chan struct{}, 1),
-		}
+		shards[i] = &shard{park: make(chan struct{}, 1)}
 	}
 	for i, ctl := range apps {
 		sh := shards[i%nShards]
@@ -1515,7 +1423,7 @@ func (k *Kernel) serveGeneration(ctx context.Context, changed <-chan struct{}, a
 		loopsWG.Add(1)
 		go k.singleLoop(gctx, shards[0], opts, &loopsWG)
 	} else {
-		hub := newWakeHub(opts.Wake, nShards)
+		hub := newWakeHub()
 		genWG.Add(1)
 		go k.scheduler(gctx, opts, len(apps), hub, &loopsWG, &genWG)
 		for _, sh := range shards {
@@ -1618,23 +1526,12 @@ func (k *Kernel) shardLoop(ctx context.Context, sh *shard, opts Options, hub *wa
 			}
 			sh.contribs = append(sh.contribs, contribution{ctl: ctl, tasks: tasks})
 		}
-		// The submission never blocks — channel mode has one slot per
-		// shard, notify mode is a lock-free push — even during
-		// generation wind-down, which is what guarantees a parked
+		// The submission never blocks — it is a lock-free push — even
+		// during generation wind-down, which is what guarantees a parked
 		// shard's last batch is still queued for the scheduler's drain
 		// pass. A shard never has two batches in flight.
 		k.submitShard(hub, sh)
-		if hub.mode == WakeChannel {
-			select {
-			case <-sh.acceptedCh:
-			default:
-				select {
-				case <-sh.acceptedCh:
-				case <-ctx.Done():
-					return
-				}
-			}
-		} else if !k.waitAccepted(ctx, sh) {
+		if !k.waitAccepted(ctx, sh) {
 			return
 		}
 		if opts.Interval > 0 && !sh.pause(ctx, opts.Interval) {
@@ -1660,8 +1557,8 @@ func (k *Kernel) shardLoop(ctx context.Context, sh *shard, opts Options, hub *wa
 //
 // On wind-down (ctx cancelled — membership change or Stop) the
 // scheduler waits for the shard loops to park, drains any batches
-// still queued in submit, and executes one final epoch over them, so
-// work an app already handed over is never dropped.
+// still queued on the submit stack, and executes one final epoch over
+// them, so work an app already handed over is never dropped.
 func (k *Kernel) scheduler(ctx context.Context, opts Options, nApps int, hub *wakeHub, loopsWG, wg *sync.WaitGroup) {
 	defer wg.Done()
 	// An epoch can never contain two batches from one shard: each shard
@@ -1699,7 +1596,7 @@ func (k *Kernel) scheduler(ctx context.Context, opts Options, nApps int, hub *wa
 		pending = append(pending, sh)
 		pendingApps += len(sh.apps)
 	}
-	// drainStack empties the notify-mode submit list (one swap takes
+	// drainStack empties the submit list (one swap takes
 	// every queued shard — later pushers piggyback on one doorbell).
 	drainStack := func() {
 		for sh := hub.stack.popAll(); sh != nil; {
@@ -1721,7 +1618,7 @@ func (k *Kernel) scheduler(ctx context.Context, opts Options, nApps int, hub *wa
 		clear(contribs[len(contribs):cap(contribs)]) // no stale task pointers in the tail
 		buffers[cur] = contribs
 		cur = 1 - cur
-		k.releaseShards(hub, pending)
+		k.releaseShards(pending)
 		clear(pending)
 		pending = pending[:0]
 		pendingApps = 0
@@ -1736,23 +1633,9 @@ func (k *Kernel) scheduler(ctx context.Context, opts Options, nApps int, hub *wa
 	// one final epoch.
 	drain := func() {
 		loopsWG.Wait()
-		if hub.mode != WakeChannel {
-			drainStack()
-			if len(pending) > 0 {
-				flush()
-			}
-			return
-		}
-		for {
-			select {
-			case sh := <-hub.submit:
-				take(sh)
-			default:
-				if len(pending) > 0 {
-					flush()
-				}
-				return
-			}
+		drainStack()
+		if len(pending) > 0 {
+			flush()
 		}
 	}
 	defer drain()
@@ -1761,20 +1644,7 @@ func (k *Kernel) scheduler(ctx context.Context, opts Options, nApps int, hub *wa
 		select {
 		case <-ctx.Done():
 			return
-		case sh := <-hub.submit: // nil (blocks forever) in notify mode
-			take(sh)
-			// Greedily drain whatever else has queued: non-blocking
-			// receives skip the full select machinery.
-		greedy:
-			for pendingApps < nApps {
-				select {
-				case sh := <-hub.submit:
-					take(sh)
-				default:
-					break greedy
-				}
-			}
-		case <-hub.sig: // nil (blocks forever) in channel mode
+		case <-hub.sig:
 			drainStack()
 		case <-timer.C:
 			armed = false

@@ -63,9 +63,8 @@ func TestReshardOnGOMAXPROCSChange(t *testing.T) {
 
 // TestDetachDrainManyCore: the detach-drain guarantee (a returned
 // Detach means no in-flight batch still carries the app) must hold on
-// the saturated many-core topology with the notify wake path — shards
-// parking on counters instead of channels must still quiesce at the
-// generation roll.
+// the saturated many-core topology — shards parking on counters must
+// still quiesce at the generation roll.
 func TestDetachDrainManyCore(t *testing.T) {
 	prev := goruntime.GOMAXPROCS(8)
 	defer goruntime.GOMAXPROCS(prev)
@@ -166,16 +165,16 @@ func TestSeqlockEightReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWakePathNoAlloc: one full notify-mode epoch handshake — submit,
+// TestWakePathNoAlloc: one full epoch wake handshake — submit,
 // doorbell drain, release, accept — allocates nothing. The park
 // channels are per-generation allocations; steady state is atomics
 // only.
 func TestWakePathNoAlloc(t *testing.T) {
 	k := &Kernel{}
-	hub := newWakeHub(WakeNotify, 4)
+	hub := newWakeHub()
 	shards := make([]*shard, 4)
 	for i := range shards {
-		shards[i] = &shard{park: make(chan struct{}, 1), acceptedCh: make(chan struct{}, 1)}
+		shards[i] = &shard{park: make(chan struct{}, 1)}
 	}
 	pending := make([]*shard, 0, 4)
 	ctx := context.Background()
@@ -192,7 +191,7 @@ func TestWakePathNoAlloc(t *testing.T) {
 			pending = append(pending, sh)
 			sh = next
 		}
-		k.releaseShards(hub, pending)
+		k.releaseShards(pending)
 		for _, sh := range shards {
 			if !k.waitAccepted(ctx, sh) {
 				t.Fatal("waitAccepted returned false without cancellation")
@@ -201,7 +200,7 @@ func TestWakePathNoAlloc(t *testing.T) {
 		pending = pending[:0]
 	})
 	if allocs != 0 {
-		t.Errorf("notify wake path allocates %.1f per epoch, want 0", allocs)
+		t.Errorf("wake path allocates %.1f per epoch, want 0", allocs)
 	}
 	if math.IsNaN(allocs) {
 		t.Error("AllocsPerRun returned NaN")

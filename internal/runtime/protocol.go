@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"fmt"
 	"math"
 	goruntime "runtime"
 	"sync/atomic"
@@ -9,108 +8,12 @@ import (
 	"repro/internal/rtrm"
 )
 
-// EpochProtocol selects how the kernel commits backend epochs and how
-// status readers synchronize with those commits — the CCBench-style
-// axis of this package: several concurrency-control protocols under
-// one harness, switchable per kernel so they can be compared on the
-// same workload (benchmark K8).
-//
-// All three protocols share the same commit invariant: every backend
-// epoch runs under that backend's own commit mutex and republishes the
-// backend's stats seqlock cell before releasing it. They differ in how
-// much cross-backend synchronization surrounds that commit and in how
-// readers take their snapshots:
-//
-//   - Barrier: the pre-protocol design, kept as the baseline. All
-//     contributing backends commit inside one global serial section
-//     (epochMu) per kernel epoch — backends run concurrently inside
-//     the barrier, but epoch N+1 on any backend waits for epoch N on
-//     every backend. Status readers lock each backend's commit mutex.
-//   - PerBackendClock: each backend advances its own epoch clock. The
-//     concurrent mode dispatches every backend's share of a kernel
-//     epoch to a per-backend commit goroutine with a bounded run-ahead
-//     of two epochs, so epochs on b0 never wait on b2; membership
-//     generations remain the only global synchronization point (a
-//     generation roll quiesces all clocks, which is also the forced
-//     Barrier fallback while a placement migration is in flight).
-//     Status readers still lock each backend's commit mutex.
-//   - OptimisticMerge: commits exactly as PerBackendClock, but status
-//     readers (ManagerStats, BackendStats — the control plane's
-//     /v1/epochs and SSE path) take Silo-style optimistic snapshots
-//     from the per-backend seqlock cells: read the version, read the
-//     fields, retry if the version was odd or moved. Readers touch no
-//     commit lock at all (see Kernel.CommitLockReads).
-type EpochProtocol int32
-
-const (
-	// Barrier is the global epoch barrier — the default.
-	Barrier EpochProtocol = iota
-	// PerBackendClock gives each backend an independent epoch clock.
-	PerBackendClock
-	// OptimisticMerge is PerBackendClock plus lock-free seqlock reads.
-	OptimisticMerge
-)
-
-// String returns the flag-friendly protocol name.
-func (p EpochProtocol) String() string {
-	switch p {
-	case Barrier:
-		return "barrier"
-	case PerBackendClock:
-		return "clock"
-	case OptimisticMerge:
-		return "optimistic"
-	}
-	return fmt.Sprintf("EpochProtocol(%d)", int32(p))
-}
-
-// ParseEpochProtocol parses a protocol name as accepted by the
-// antarex-serve -protocol flag.
-func ParseEpochProtocol(s string) (EpochProtocol, error) {
-	switch s {
-	case "barrier", "":
-		return Barrier, nil
-	case "clock", "per-backend-clock":
-		return PerBackendClock, nil
-	case "optimistic", "optimistic-merge":
-		return OptimisticMerge, nil
-	}
-	return Barrier, fmt.Errorf("runtime: unknown epoch protocol %q (want barrier, clock or optimistic)", s)
-}
-
-// SetProtocol selects the epoch commit protocol. Safe to call while
-// the kernel is running: like a placement change, the new protocol
-// takes effect at the next membership-generation roll, with the
-// current generation's in-flight epochs drained first. Synchronous
-// RunEpoch picks up the protocol on its next call.
-func (k *Kernel) SetProtocol(p EpochProtocol) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.protocol = p
-	if !k.running {
-		// No engine to roll: readers may adopt the new discipline now.
-		k.protoActive.Store(int32(p))
-	}
-	k.membershipChangedLocked()
-}
-
-// Protocol returns the configured epoch commit protocol.
-func (k *Kernel) Protocol() EpochProtocol {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.protocol
-}
-
-// CommitLockReads counts status reads (ManagerStats, BackendStats)
-// that acquired a commit lock to take their snapshot. Under Barrier
-// and PerBackendClock every status read increments it once; under
-// OptimisticMerge status reads go through the seqlock cells and the
-// counter stays put — the property benchmark K8 trades on and the
-// control-plane test asserts.
-func (k *Kernel) CommitLockReads() int64 { return k.commitLockReads.Load() }
-
 // statsCell is a per-backend seqlock publishing the backend's
-// cumulative stats and placement app count to lock-free readers. The
+// cumulative stats and placement app count to status readers
+// (ManagerStats, BackendStats — the control plane's /v1/epochs and SSE
+// path), which take Silo-style optimistic snapshots: read the version,
+// read the fields, retry if the version was odd or moved. It is the
+// only status read path, so a reader never waits on a commit. The
 // writer is the (per-backend serialized) commit path plus the
 // quiescent-only placement refresh, so writes never race each other;
 // ver is odd while a write is in progress. Fields are atomics so the
@@ -118,7 +21,7 @@ func (k *Kernel) CommitLockReads() int64 { return k.commitLockReads.Load() }
 // version protocol is what makes the multi-field snapshot consistent.
 // The cell's eight words fill exactly one 64-byte cache line; the pads
 // keep neighbouring backendSlot fields (seq, the commit mutex) off that
-// line, so OptimisticMerge readers polling ver do not ping-pong the
+// line, so readers polling ver do not ping-pong the
 // line the commit path is writing through unrelated fields.
 type statsCell struct {
 	_         [64]byte

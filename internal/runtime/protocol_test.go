@@ -14,28 +14,6 @@ import (
 	"repro/internal/simhpc"
 )
 
-func TestParseEpochProtocol(t *testing.T) {
-	for in, want := range map[string]EpochProtocol{
-		"":                  Barrier,
-		"barrier":           Barrier,
-		"clock":             PerBackendClock,
-		"per-backend-clock": PerBackendClock,
-		"optimistic":        OptimisticMerge,
-		"optimistic-merge":  OptimisticMerge,
-	} {
-		got, err := ParseEpochProtocol(in)
-		if err != nil || got != want {
-			t.Errorf("ParseEpochProtocol(%q) = %v, %v; want %v", in, got, err, want)
-		}
-		if got.String() == "" {
-			t.Errorf("%v has no name", got)
-		}
-	}
-	if _, err := ParseEpochProtocol("2PL"); err == nil {
-		t.Error("unknown protocol accepted")
-	}
-}
-
 // TestStatsCellTornSnapshot: a reader that arrives while the seqlock
 // version is odd (write in progress) must not return the half-written
 // fields — it spins until the writer finishes, then returns the
@@ -121,75 +99,64 @@ func TestStatsCellConsistency(t *testing.T) {
 	}
 }
 
-// protocolKernel builds a 2-backend kernel with two pinned apps and
-// the given protocol selected.
-func protocolKernel(t *testing.T, proto EpochProtocol) *Kernel {
+// pinnedPairKernel builds a 2-backend kernel with one pinned app each.
+func pinnedPairKernel(t *testing.T) *Kernel {
 	t.Helper()
 	k := NewKernel(testManagerAt(2, 15), testManagerAt(2, 15))
-	k.SetProtocol(proto)
+	attachPinnedPair(t, k)
+	return k
+}
+
+// attachPinnedPair attaches app0→b0 and app1→b1.
+func attachPinnedPair(t *testing.T, k *Kernel) {
+	t.Helper()
 	for i := 0; i < 2; i++ {
 		spec := pinnedSpec(fmt.Sprintf("app%d", i), fmt.Sprintf("b%d", i), simhpc.NewWorkloadGen(uint64(7+i)), 2)
 		if _, err := k.Attach(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return k
 }
 
-// TestOptimisticReadsTakeNoCommitLocks asserts the property K8 trades
-// on: under OptimisticMerge, status reads (ManagerStats, BackendStats —
-// the /v1/epochs path) acquire zero commit locks; under Barrier and
-// PerBackendClock every status read takes one.
-func TestOptimisticReadsTakeNoCommitLocks(t *testing.T) {
-	k := protocolKernel(t, OptimisticMerge)
-	for e := 0; e < 3; e++ {
-		if _, err := k.RunEpoch(60); err != nil {
-			t.Fatal(err)
-		}
+// gatedKernel builds a 2-backend kernel, one pinned app each, whose b0
+// is a gatedBackend. open releases the gate (idempotent).
+func gatedKernel(t *testing.T) (k *Kernel, gated *gatedBackend, open func()) {
+	t.Helper()
+	gated = &gatedBackend{
+		Backend: testManagerAt(2, 15),
+		entered: make(chan struct{}, 1),
+		gate:    make(chan struct{}),
 	}
-	base := k.CommitLockReads()
-	var work float64
-	for i := 0; i < 50; i++ {
-		work = k.ManagerStats().WorkGFlop
-		_ = k.BackendStats()
+	k = NewKernel()
+	if err := k.AddBackend("b0", gated); err != nil {
+		t.Fatal(err)
 	}
-	if work <= 0 {
-		t.Error("optimistic reads saw no committed work")
+	if err := k.AddBackend("b1", testManagerAt(2, 15)); err != nil {
+		t.Fatal(err)
 	}
-	if got := k.CommitLockReads() - base; got != 0 {
-		t.Errorf("optimistic status reads took %d commit locks, want 0", got)
-	}
-	for _, proto := range []EpochProtocol{Barrier, PerBackendClock} {
-		k.SetProtocol(proto)
-		base = k.CommitLockReads()
-		_ = k.ManagerStats()
-		_ = k.BackendStats()
-		if got := k.CommitLockReads() - base; got != 2 {
-			t.Errorf("%s: status reads took %d commit locks, want 2", proto, got)
-		}
-	}
+	attachPinnedPair(t, k)
+	var release sync.Once
+	return k, gated, func() { release.Do(func() { close(gated.gate) }) }
 }
 
 // TestBackendSeqAdvancesPerCommit: every backend commit bumps that
-// backend's sequence number, under every protocol — the counter the
-// control plane's SSE coalescing keys on.
+// backend's sequence number — the counter the control plane's SSE
+// coalescing keys on.
 func TestBackendSeqAdvancesPerCommit(t *testing.T) {
-	for _, proto := range []EpochProtocol{Barrier, PerBackendClock, OptimisticMerge} {
-		t.Run(proto.String(), func(t *testing.T) {
-			k := protocolKernel(t, proto)
-			const epochs = 4
-			for e := 0; e < epochs; e++ {
-				if _, err := k.RunEpoch(60); err != nil {
-					t.Fatal(err)
-				}
+	t.Run("barrier", func(t *testing.T) {
+		k := pinnedPairKernel(t)
+		const epochs = 4
+		for e := 0; e < epochs; e++ {
+			if _, err := k.RunEpoch(60); err != nil {
+				t.Fatal(err)
 			}
-			for _, st := range k.BackendStats() {
-				if st.Seq != epochs {
-					t.Errorf("%s: seq %d, want %d (one per commit)", st.Name, st.Seq, epochs)
-				}
+		}
+		for _, st := range k.BackendStats() {
+			if st.Seq != epochs {
+				t.Errorf("%s: seq %d, want %d (one per commit)", st.Name, st.Seq, epochs)
 			}
-		})
-	}
+		}
+	})
 }
 
 // gatedBackend wraps a Backend so a test can hold one backend's commit
@@ -210,41 +177,62 @@ func (g *gatedBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochRe
 	return g.Backend.RunEpoch(dt, offered)
 }
 
-// TestEpochSignalPerBackendCommit is the missed-wakeup regression test
-// for the barrier-free signal path. Under a per-backend-clock engine
-// the dispatcher advances the global epoch counter when it hands a
-// batch to a backend lane, possibly epochs before that backend commits.
-// If epoch signals fired from the dispatcher (keyed to the global
-// counter), a subscriber that drained its channel while a backend's
-// commit was stalled would never learn about that commit — the counter
-// already moved. The fix is that only backend workers signal, once per
-// commit. The test stalls b0's commit until the pipeline is quiet,
-// drains every signal, then releases the commit and requires a fresh
-// wakeup plus a b0 sequence advance. OptimisticMerge keeps the status
-// reads lock-free so the test can observe Seq while b0's commit mutex
-// is held.
-func TestEpochSignalPerBackendCommit(t *testing.T) {
-	gated := &gatedBackend{
-		Backend: testManagerAt(2, 15),
-		entered: make(chan struct{}, 1),
-		gate:    make(chan struct{}),
-	}
-	k := NewKernel()
-	if err := k.AddBackend("b0", gated); err != nil {
+// TestStatusReadsDoNotBlockOnCommit: ManagerStats and BackendStats
+// return while a healthy backend's commit is parked inside RunEpoch
+// holding its commit mutex — status reads go through the seqlock cell,
+// so one slow epoch never stalls /v1/epochs, /v1/backends or the SSE
+// render behind it.
+func TestStatusReadsDoNotBlockOnCommit(t *testing.T) {
+	k, gated, open := gatedKernel(t)
+	defer open()
+	if _, err := k.RunEpoch(60); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.AddBackend("b1", testManagerAt(2, 15)); err != nil {
-		t.Fatal(err)
+
+	gated.armed.Store(true)
+	epochDone := make(chan error, 1)
+	go func() {
+		_, err := k.RunEpoch(60)
+		epochDone <- err
+	}()
+	<-gated.entered // b0's commit holds its commit mutex until open()
+
+	type read struct {
+		ms  ManagerStats
+		bks []BackendStats
 	}
-	k.SetProtocol(OptimisticMerge)
-	for i := 0; i < 2; i++ {
-		spec := pinnedSpec(fmt.Sprintf("app%d", i), fmt.Sprintf("b%d", i), simhpc.NewWorkloadGen(uint64(7+i)), 2)
-		if _, err := k.Attach(spec); err != nil {
-			t.Fatal(err)
+	got := make(chan read, 1)
+	go func() { got <- read{k.ManagerStats(), k.BackendStats()} }()
+	select {
+	case r := <-got:
+		if r.ms.WorkGFlop <= 0 {
+			t.Errorf("merged stats lost the committed first epoch: %+v", r.ms)
 		}
+		if len(r.bks) != 2 || r.bks[0].Name != "b0" || r.bks[0].Seq != 1 || r.bks[0].Epochs != 1 {
+			t.Errorf("b0 mid-commit should read as its last committed epoch: %+v", r.bks)
+		}
+	case <-time.After(10 * time.Second): // hang guard: only a blocked reader gets here
+		t.Error("status reads blocked behind a parked commit")
 	}
-	var release sync.Once
-	open := func() { release.Do(func() { close(gated.gate) }) }
+	open()
+	if err := <-epochDone; err != nil {
+		t.Fatal(err)
+	}
+	if st := k.BackendStats()[0]; st.Seq != 2 || st.Epochs != 2 {
+		t.Errorf("b0 after the gated commit landed: %+v, want seq=2 epochs=2", st)
+	}
+}
+
+// TestEpochSignalPerBackendCommit: a commit released after a stall
+// signals epoch subscribers and advances the backend's Seq. The test
+// parks b0's commit, drains the signals of every earlier epoch (the
+// serialized engine can fire no new one while b0 is parked), then
+// releases the commit and requires a fresh wakeup plus a b0 sequence
+// advance — the pair the control plane's SSE coalescing keys on. Seq
+// is read while b0's commit mutex is held, which the lock-free status
+// path allows.
+func TestEpochSignalPerBackendCommit(t *testing.T) {
+	k, gated, open := gatedKernel(t)
 	defer open()
 
 	if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
@@ -261,24 +249,13 @@ func TestEpochSignalPerBackendCommit(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("b0 never entered its gated commit")
 	}
-	// b0's worker is inside RunEpoch holding b0's commit mutex. The
-	// dispatcher runs ahead a bounded number of epochs, b1 drains what
-	// it was handed, then the pipeline is still. Drain every signal
-	// from that tail.
-	for quiet := false; !quiet; {
-		select {
-		case <-ch:
-		case <-time.After(300 * time.Millisecond):
-			quiet = true
-		}
+	// The executor is inside the epoch waiting on b0, so the only
+	// signal that can be pending is an earlier epoch's.
+	select {
+	case <-ch:
+	default:
 	}
-	seqStalled := int64(-1)
-	for _, st := range k.BackendStats() {
-		if st.Name == "b0" {
-			seqStalled = st.Seq
-		}
-	}
-	epochsStalled := k.Epochs()
+	seqStalled := k.BackendStats()[0].Seq
 
 	open() // b0 commits now
 	select {
@@ -286,224 +263,98 @@ func TestEpochSignalPerBackendCommit(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("missed wakeup: b0's commit after the stall produced no signal (epochs %d)", k.Epochs())
 	}
-	waitFor(t, "b0 seq advance", func() bool {
-		for _, st := range k.BackendStats() {
-			if st.Name == "b0" {
-				return st.Seq > seqStalled
-			}
-		}
-		return false
-	})
-	// Sanity: the global counter had indeed run ahead of b0's commit
-	// while it was stalled, so the wakeup cannot be attributed to an
-	// epoch-counter edge.
-	if epochsStalled <= seqStalled {
-		t.Errorf("global epochs %d did not run ahead of b0 seq %d: stall never decoupled them", epochsStalled, seqStalled)
+	// The signal follows the epoch b0's commit belonged to, so Seq has
+	// already moved.
+	if seq := k.BackendStats()[0].Seq; seq <= seqStalled {
+		t.Errorf("b0 seq %d after the released commit signalled, was %d while stalled", seq, seqStalled)
 	}
 	if err := k.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestProtocolMembershipChurnRace is the membership × protocol -race
-// matrix: per protocol, four churners attach/detach pinned and
-// unhinted apps against a 2-backend kernel while telemetry flows and a
-// fifth goroutine flips the kernel between all three protocols — every
-// flip rolls a generation, which is exactly the forced-Barrier
-// quiesce/migration path.
+// TestProtocolMembershipChurnRace is the membership -race stress: four
+// churners attach/detach pinned and unhinted apps against a 2-backend
+// kernel while telemetry flows and a status reader snapshots — every
+// attach and detach rolls a generation, the quiesce/migration path.
 func TestProtocolMembershipChurnRace(t *testing.T) {
-	for _, proto := range []EpochProtocol{Barrier, PerBackendClock, OptimisticMerge} {
-		t.Run(proto.String(), func(t *testing.T) {
-			k := NewKernel(testManagerAt(2, 15), testManagerAt(2, 15))
-			k.SetProtocol(proto)
-			baseInbox := &Inbox{}
-			baseSpec := simpleSpec("base", simhpc.NewWorkloadGen(51), 2)
-			baseSpec.Sensor = baseInbox
-			if _, err := k.Attach(baseSpec); err != nil {
-				t.Fatal(err)
-			}
-			if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
-				t.Fatal(err)
-			}
-			defer k.Stop()
-			// The helpers get their own context: canceling it stops the
-			// producer, reader and flipper without tearing the kernel down.
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
+	t.Run("barrier", func(t *testing.T) {
+		k := NewKernel(testManagerAt(2, 15), testManagerAt(2, 15))
+		baseInbox := &Inbox{}
+		baseSpec := simpleSpec("base", simhpc.NewWorkloadGen(51), 2)
+		baseSpec.Sensor = baseInbox
+		if _, err := k.Attach(baseSpec); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		defer k.Stop()
+		// The helpers get their own context: canceling it stops the
+		// producer and reader without tearing the kernel down.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 
-			go func() {
-				for ctx.Err() == nil {
-					baseInbox.Push(monitor.MetricLatency, 0.2)
-					time.Sleep(200 * time.Microsecond)
-				}
-			}()
-			readerDone := make(chan struct{})
-			go func() {
-				defer close(readerDone)
-				for ctx.Err() == nil {
-					_ = k.ManagerStats()
-					_ = k.BackendStats()
-					_ = k.TotalsPerApp()
-					time.Sleep(500 * time.Microsecond)
-				}
-			}()
-			flipDone := make(chan struct{})
-			go func() {
-				defer close(flipDone)
-				protos := []EpochProtocol{Barrier, PerBackendClock, OptimisticMerge}
-				for i := 0; ctx.Err() == nil; i++ {
-					k.SetProtocol(protos[i%len(protos)])
-					time.Sleep(3 * time.Millisecond)
-				}
-			}()
+		go func() {
+			for ctx.Err() == nil {
+				baseInbox.Push(monitor.MetricLatency, 0.2)
+				time.Sleep(200 * time.Microsecond)
+			}
+		}()
+		readerDone := make(chan struct{})
+		go func() {
+			defer close(readerDone)
+			for ctx.Err() == nil {
+				_ = k.ManagerStats()
+				_ = k.BackendStats()
+				_ = k.TotalsPerApp()
+				time.Sleep(500 * time.Microsecond)
+			}
+		}()
 
-			const churners = 4
-			const cycles = 10
-			var wg sync.WaitGroup
-			for c := 0; c < churners; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					name := fmt.Sprintf("churn%d", c)
-					hint := ""
-					if c%2 == 0 {
-						hint = fmt.Sprintf("b%d", c/2)
+		const churners = 4
+		const cycles = 10
+		var wg sync.WaitGroup
+		for c := 0; c < churners; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				name := fmt.Sprintf("churn%d", c)
+				hint := ""
+				if c%2 == 0 {
+					hint = fmt.Sprintf("b%d", c/2)
+				}
+				gen := simhpc.NewWorkloadGen(uint64(60 + c))
+				for i := 0; i < cycles; i++ {
+					if _, err := k.Attach(pinnedSpec(name, hint, gen, 1)); err != nil {
+						t.Errorf("churn attach %s: %v", name, err)
+						return
 					}
-					gen := simhpc.NewWorkloadGen(uint64(60 + c))
-					for i := 0; i < cycles; i++ {
-						if _, err := k.Attach(pinnedSpec(name, hint, gen, 1)); err != nil {
-							t.Errorf("churn attach %s: %v", name, err)
-							return
-						}
-						time.Sleep(time.Duration(c+1) * time.Millisecond)
-						if err := k.Detach(name); err != nil {
-							t.Errorf("churn detach %s: %v", name, err)
-							return
-						}
+					time.Sleep(time.Duration(c+1) * time.Millisecond)
+					if err := k.Detach(name); err != nil {
+						t.Errorf("churn detach %s: %v", name, err)
+						return
 					}
-				}(c)
-			}
-			wg.Wait()
-			cancel()
-			<-flipDone
-			<-readerDone
-			k.SetProtocol(proto) // settle back to the subtest's protocol
-			waitServed(t, k)
-			epochs := k.Epochs()
-			waitFor(t, "epochs after churn", func() bool { return k.Epochs() > epochs })
-			if err := k.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if apps := k.Apps(); len(apps) != 1 || apps[0].Name() != "base" {
-				t.Errorf("leftover membership after churn: %d apps", len(apps))
-			}
-			totals := k.TotalsPerApp()
-			for c := 0; c < churners; c++ {
-				if totals[fmt.Sprintf("churn%d", c)] <= 0 {
-					t.Errorf("churn%d's drained work was lost across detach", c)
 				}
-			}
-		})
-	}
-}
-
-// TestKernelDetachDrainPerBackendProtocols re-runs the per-backend
-// detach-drain guarantee (an app detached with its workload mid-flight
-// on one backend drains into that backend's final epoch) under the
-// barrier-free protocols — the drain path is the generation wind-down,
-// which is the protocols' one global synchronization point.
-func TestKernelDetachDrainPerBackendProtocols(t *testing.T) {
-	for _, proto := range []EpochProtocol{PerBackendClock, OptimisticMerge} {
-		t.Run(proto.String(), func(t *testing.T) {
-			k := NewKernel(testManagerAt(2, 15), testManagerAt(2, 15))
-			k.SetProtocol(proto)
-			gen := simhpc.NewWorkloadGen(29)
-			var genMu sync.Mutex
-			started := make(chan struct{}, 64)
-			slow := AppSpec{
-				Name:    "slow",
-				Backend: "b1",
-				Workload: func() ([]*simhpc.Task, error) {
-					select {
-					case started <- struct{}{}:
-					default:
-					}
-					time.Sleep(50 * time.Millisecond)
-					genMu.Lock()
-					defer genMu.Unlock()
-					return gen.Mix(1, 1, 1, 1, 4), nil
-				},
-			}
-			if _, err := k.Attach(slow); err != nil {
-				t.Fatal(err)
-			}
-			fast := AppSpec{
-				Name:    "fast",
-				Backend: "b0",
-				Workload: func() ([]*simhpc.Task, error) {
-					genMu.Lock()
-					defer genMu.Unlock()
-					return gen.Mix(1, 1, 1, 1, 4), nil
-				},
-			}
-			if _, err := k.Attach(fast); err != nil {
-				t.Fatal(err)
-			}
-			if err := k.Start(context.Background(), Options{Flush: 5 * time.Millisecond}); err != nil {
-				t.Fatal(err)
-			}
-			defer k.Stop()
-			<-started
-			if err := k.Detach("slow"); err != nil {
-				t.Fatal(err)
-			}
-			waitServed(t, k)
-			epochs := k.Epochs()
-			waitFor(t, "survivor epochs", func() bool { return k.Epochs() >= epochs+5 })
-			if k.TotalsPerApp()["slow"] <= 0 {
-				t.Error("detached app's drained work was dropped")
-			}
-			var b1 BackendStats
-			for _, st := range k.BackendStats() {
-				if st.Name == "b1" {
-					b1 = st
-				}
-			}
-			if b1.WorkGFlop <= 0 {
-				t.Errorf("b1 never ran the detaching app's drained batch: %+v", b1)
-			}
-			if k.TotalsPerApp()["fast"] <= 0 {
-				t.Error("survivor contributed no work")
-			}
-			if err := k.Err(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestProtocolsAgreeOnTotals: the same deterministic workload run
-// under each protocol lands the same cumulative work — protocol choice
-// affects synchronization, never accounting.
-func TestProtocolsAgreeOnTotals(t *testing.T) {
-	totals := map[EpochProtocol]float64{}
-	for _, proto := range []EpochProtocol{Barrier, PerBackendClock, OptimisticMerge} {
-		k := protocolKernel(t, proto)
-		for e := 0; e < 5; e++ {
-			if _, err := k.RunEpoch(60); err != nil {
-				t.Fatal(err)
+			}(c)
+		}
+		wg.Wait()
+		cancel()
+		<-readerDone
+		waitServed(t, k)
+		epochs := k.Epochs()
+		waitFor(t, "epochs after churn", func() bool { return k.Epochs() > epochs })
+		if err := k.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if apps := k.Apps(); len(apps) != 1 || apps[0].Name() != "base" {
+			t.Errorf("leftover membership after churn: %d apps", len(apps))
+		}
+		totals := k.TotalsPerApp()
+		for c := 0; c < churners; c++ {
+			if totals[fmt.Sprintf("churn%d", c)] <= 0 {
+				t.Errorf("churn%d's drained work was lost across detach", c)
 			}
 		}
-		var sum float64
-		for _, v := range k.TotalsPerApp() {
-			sum += v
-		}
-		totals[proto] = sum
-		if sum <= 0 {
-			t.Fatalf("%s: no work accounted", proto)
-		}
-	}
-	if totals[PerBackendClock] != totals[Barrier] || totals[OptimisticMerge] != totals[Barrier] {
-		t.Errorf("protocols disagree on totals: %v", totals)
-	}
+	})
 }

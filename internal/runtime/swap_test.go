@@ -134,88 +134,85 @@ func TestSwapPolicyClearsQuarantine(t *testing.T) {
 }
 
 // TestSwapPolicyUnderChurn hot-swaps one app's policy continuously
-// while other apps attach and detach, across all three epoch
-// protocols. Run with -race: the swap path must not tear a decision or
+// while other apps attach and detach. Run with -race: the swap path
+// must not tear a decision or
 // race the epoch engine's snapshots.
 func TestSwapPolicyUnderChurn(t *testing.T) {
-	for _, proto := range []EpochProtocol{Barrier, PerBackendClock, OptimisticMerge} {
-		t.Run(proto.String(), func(t *testing.T) {
-			k := NewKernel(testManager(4))
-			k.SetProtocol(proto)
-			inbox := &Inbox{}
-			var decisions atomic.Int64
-			mkPolicy := func(id float64) Policy {
-				return PolicyFunc(func(monitor.Decision, map[string]monitor.Summary) (autotune.Config, bool) {
-					decisions.Add(1)
-					return autotune.Config{"level": id}, true
-				})
-			}
-			_, err := k.Attach(AppSpec{
-				Name: "stable",
-				SLA: monitor.SLA{Goals: []monitor.Goal{
-					{Metric: monitor.MetricLatency, Relation: monitor.AtMost, Target: 1.0},
-				}},
-				Window:   4,
-				Debounce: 1,
-				Sensor:   inbox,
-				Policy:   mkPolicy(0),
-				Knob:     KnobFunc(func(autotune.Config) {}),
+	t.Run("barrier", func(t *testing.T) {
+		k := NewKernel(testManager(4))
+		inbox := &Inbox{}
+		var decisions atomic.Int64
+		mkPolicy := func(id float64) Policy {
+			return PolicyFunc(func(monitor.Decision, map[string]monitor.Summary) (autotune.Config, bool) {
+				decisions.Add(1)
+				return autotune.Config{"level": id}, true
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
-				t.Fatal(err)
-			}
-			defer k.Stop()
-
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			// Membership churn.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					name := fmt.Sprintf("churn-%d", i%8)
-					if _, err := k.Attach(AppSpec{Name: name}); err == nil {
-						time.Sleep(500 * time.Microsecond)
-						_ = k.Detach(name)
-					}
-				}
-			}()
-			// Continuous violation so the stable app's policy fires.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						inbox.Push(monitor.MetricLatency, 3.0)
-						time.Sleep(200 * time.Microsecond)
-					}
-				}
-			}()
-			// Hot-swap loop.
-			deadline := time.Now().Add(400 * time.Millisecond)
-			for i := 1; time.Now().Before(deadline); i++ {
-				if _, err := k.SwapPolicy("stable", mkPolicy(float64(i)), nil); err != nil {
-					t.Errorf("swap %d: %v", i, err)
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
-			close(stop)
-			wg.Wait()
-			if decisions.Load() == 0 {
-				t.Fatal("no policy decisions fired during the churn run")
-			}
+		}
+		_, err := k.Attach(AppSpec{
+			Name: "stable",
+			SLA: monitor.SLA{Goals: []monitor.Goal{
+				{Metric: monitor.MetricLatency, Relation: monitor.AtMost, Target: 1.0},
+			}},
+			Window:   4,
+			Debounce: 1,
+			Sensor:   inbox,
+			Policy:   mkPolicy(0),
+			Knob:     KnobFunc(func(autotune.Config) {}),
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		defer k.Stop()
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		// Membership churn.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				name := fmt.Sprintf("churn-%d", i%8)
+				if _, err := k.Attach(AppSpec{Name: name}); err == nil {
+					time.Sleep(500 * time.Microsecond)
+					_ = k.Detach(name)
+				}
+			}
+		}()
+		// Continuous violation so the stable app's policy fires.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					inbox.Push(monitor.MetricLatency, 3.0)
+					time.Sleep(200 * time.Microsecond)
+				}
+			}
+		}()
+		// Hot-swap loop.
+		deadline := time.Now().Add(400 * time.Millisecond)
+		for i := 1; time.Now().Before(deadline); i++ {
+			if _, err := k.SwapPolicy("stable", mkPolicy(float64(i)), nil); err != nil {
+				t.Errorf("swap %d: %v", i, err)
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		close(stop)
+		wg.Wait()
+		if decisions.Load() == 0 {
+			t.Fatal("no policy decisions fired during the churn run")
+		}
+	})
 }

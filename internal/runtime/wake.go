@@ -6,40 +6,20 @@ import (
 	"sync/atomic"
 )
 
-// WakeMode selects the handshake between the shard loops (and the
-// clock protocol's dispatch lanes) and the epoch scheduler. The notify
-// path exists because the channel handshake's cost is O(shards) of
-// scheduler work per epoch — one channel send per shard on the submit
-// side and one more per shard on the release side, each a lock acquire
-// plus a potential goroutine wakeup. At 1–2 cores that tax hides
-// behind the manager epoch; at 8–16 cores it IS the serial section
-// (the non-threaded-CCP argument inverted: plentiful cores make the
-// wake path the tax, not the loops). The notify path replaces both
-// sides with atomics — a lock-free submit list the scheduler drains
-// with one swap, and a published per-shard acceptance counter that
-// shards spin-then-park on — so the scheduler's per-epoch wake work is
-// one pass of atomic stores plus tokens only for the shards that
-// actually parked.
-type WakeMode int32
+// The wake path is the handshake between the shard loops and the epoch
+// scheduler. A per-shard channel handshake costs O(shards) of scheduler
+// work per epoch — one send per shard on the submit side and one more on
+// the release side, each a lock acquire plus a potential goroutine
+// wakeup. At 1–2 cores that tax hides behind the manager epoch; at 8–16
+// cores it IS the serial section (the non-threaded-CCP argument
+// inverted: plentiful cores make the wake path the tax, not the loops).
+// So both sides are atomics — a lock-free submit list the scheduler
+// drains with one swap, and a published per-shard acceptance counter
+// that shards spin-then-park on — and the scheduler's per-epoch wake
+// work is one pass of atomic stores plus tokens only for the shards
+// that actually parked.
 
-const (
-	// WakeNotify is the default: lock-free submit list + published
-	// acceptance counters, parking only as a last resort.
-	WakeNotify WakeMode = iota
-	// WakeChannel is the PR-2 channel handshake (submit channel +
-	// per-shard accepted channel), kept selectable as the K12 baseline
-	// the notify path is measured against — the LockedInbox convention.
-	WakeChannel
-)
-
-func (m WakeMode) String() string {
-	if m == WakeChannel {
-		return "channel"
-	}
-	return "notify"
-}
-
-// submitStack is the notify path's intrusive Treiber stack of shards
+// submitStack is the intrusive Treiber stack of shards
 // with batches ready to merge. A shard is in the stack at most once
 // (it never has two batches in flight), so the intrusive next link is
 // safe. push is lock-free and allocation-free; the scheduler takes the
@@ -68,39 +48,22 @@ func (s *submitStack) popAll() *shard {
 }
 
 // wakeHub is one generation's wake-path state, shared by the shard
-// loops and the scheduler. Exactly one of {submit} / {stack, sig} is
-// live, per mode.
+// loops and the scheduler: the lock-free submit list plus a one-slot
+// doorbell the first pusher rings; the scheduler drains the list on
+// each ring, so later pushers piggyback without another wake.
 type wakeHub struct {
-	mode WakeMode
-	// Channel mode: one slot per shard, so a submit never blocks.
-	submit chan *shard
-	// Notify mode: the lock-free submit list plus a one-slot doorbell
-	// the first pusher rings; the scheduler drains the list on each
-	// ring, so later pushers piggyback without another wake.
 	stack submitStack
 	sig   chan struct{}
 }
 
-func newWakeHub(mode WakeMode, nShards int) *wakeHub {
-	w := &wakeHub{mode: mode}
-	if mode == WakeChannel {
-		w.submit = make(chan *shard, nShards)
-	} else {
-		w.sig = make(chan struct{}, 1)
-	}
-	return w
+func newWakeHub() *wakeHub {
+	return &wakeHub{sig: make(chan struct{}, 1)}
 }
 
-// submitShard hands a shard's batch to the scheduler: a channel send
-// in channel mode, a stack push plus (only when the stack was idle) a
-// doorbell ring in notify mode. Every operation that can wake the
-// scheduler counts against wakeOps.
+// submitShard hands a shard's batch to the scheduler: a stack push plus
+// (only when the stack was idle) a doorbell ring. Every operation that
+// can wake the scheduler counts against wakeOps.
 func (k *Kernel) submitShard(w *wakeHub, sh *shard) {
-	if w.mode == WakeChannel {
-		k.wakeOps.Add(1)
-		w.submit <- sh
-		return
-	}
 	sh.submitted++
 	if w.stack.push(sh) {
 		k.wakeOps.Add(1)
@@ -111,7 +74,7 @@ func (k *Kernel) submitShard(w *wakeHub, sh *shard) {
 	}
 }
 
-// waitAccepted blocks a notify-mode shard until the scheduler has
+// waitAccepted blocks a shard until the scheduler has
 // merged its batch: check the published counter, yield once (on a busy
 // host acceptance usually lands within the yield), then park on the
 // shard's one-slot token channel. The parked flag is the futex-style
@@ -153,15 +116,8 @@ func (k *Kernel) waitAccepted(ctx context.Context, sh *shard) bool {
 
 // releaseShards is the scheduler's single wake pass at flush: publish
 // each pending shard's acceptance, then hand a token only to the
-// shards that parked. In channel mode it is the legacy per-shard send.
-func (k *Kernel) releaseShards(w *wakeHub, pending []*shard) {
-	if w.mode == WakeChannel {
-		for _, sh := range pending {
-			k.wakeOps.Add(1)
-			sh.acceptedCh <- struct{}{}
-		}
-		return
-	}
+// shards that parked.
+func (k *Kernel) releaseShards(pending []*shard) {
 	for _, sh := range pending {
 		sh.accepted.Add(1)
 		if sh.parked.Swap(false) {
@@ -175,10 +131,9 @@ func (k *Kernel) releaseShards(w *wakeHub, pending []*shard) {
 }
 
 // WakeOps reports the cumulative count of wake operations the epoch
-// machinery has performed — channel sends in channel mode; doorbell
-// rings, park tokens and lane wakes in notify mode. K12 reports the
-// per-epoch rate: the channel handshake costs ~2·shards/epoch, the
-// notify path O(1) plus one token per shard that actually parked.
+// machinery has performed: doorbell rings and park tokens. K12 reports
+// the per-epoch rate — O(1) plus one token per shard that actually
+// parked, where a channel handshake would cost 2·shards.
 func (k *Kernel) WakeOps() int64 { return k.wakeOps.Load() }
 
 // LoopShards reports how many control-loop workers the currently
