@@ -798,8 +798,8 @@ func BenchmarkKernelChurn(b *testing.B) {
 // benchKernelBackends is benchKernel over nBackends managers: the same
 // 16 simulated nodes split into nBackends per-site clusters, apps
 // hint-pinned round-robin so the static partition is exact and
-// deterministic. nBackends=1 exercises the kernel's single-backend
-// fast path through the same construction.
+// deterministic. nBackends=1 is the same executor with one slot,
+// through the same construction.
 func benchKernelBackends(nApps, nBackends int) (*kernelrt.Kernel, []*kernelrt.Inbox) {
 	rng := simhpc.NewRNG(61)
 	k := kernelrt.NewKernel()
@@ -870,8 +870,8 @@ func (p *churnPlacement) Place(apps []kernelrt.AppPlacement, view []kernelrt.Bac
 // BenchmarkKernelPlacement (K7) measures the multi-backend kernel: the
 // K2 shape (64 apps, concurrent mode, live telemetry producers) with
 // the merged epoch batch placement-routed over N backends whose epochs
-// run concurrently behind the one barrier. backends=1 is the
-// single-backend fast path — the identical code path to K2 — gated
+// run concurrently behind the one barrier. backends=1 is the same
+// executor over one slot — the same function K2 runs — gated
 // same-run within 1.25x of K2/apps=64, where the slack above the
 // measured ~1.04x is the 1-vCPU class's per-sample noise (see ci.yml);
 // backends=2/4 record the partitioned scaling, env-dependent. The
@@ -1000,11 +1000,12 @@ func BenchmarkManyCore(b *testing.B) {
 // BenchmarkBackendEvacuation (K9) prices the failure domain: the K7
 // placement shape (64 apps, live producers) while a churner drains,
 // removes and re-adds one backend in a continuous cycle and every
-// commit runs under a backend deadline (the guarded commitBounded path
-// — goroutine, timer and batch copy — instead of K7's synchronous
-// fast path). Each drain migrates the victim's 64/nBackends pinned
-// apps to the survivors at a generation boundary; each re-add brings
-// them home. The CI gate holds steady-state epoch cost within 1.5× of
+// commit runs under a backend deadline (the guarded half of
+// commitBounded — goroutine, timer and batch copy — instead of K7's
+// deadline-free synchronous commits). Each drain migrates the
+// victim's 64/nBackends pinned apps to the survivors at a generation
+// boundary; each re-add brings them home. The CI gate holds
+// steady-state epoch cost within 1.5× of
 // BenchmarkKernelPlacement/backends=2 from the same run: lifecycle
 // churn plus the deadline guard must stay a placement-grade tax, not a
 // stop-the-world event. Reported evacuations/s counts completed

@@ -15,7 +15,7 @@ import (
 // This file is the backend failure domain: per-backend health driven by
 // panic recovery and commit deadlines, drain/remove lifecycle with
 // evacuation at generation boundaries, and the no-healthy-backends
-// policy the epoch paths apply when every slot is out. The design
+// policy the executor applies when every slot is out. The design
 // follows the non-threaded CCP argument the rest of the kernel is built
 // on — failures are detected event-driven on the epoch path itself
 // (a recover around the commit, a deadline on its wait), never by
@@ -70,7 +70,7 @@ func (h BackendHealth) String() string {
 
 // Slot lifecycle states. Slots are tombstoned, never compacted:
 // controllers hold backend indices, so indices must stay stable across
-// removals. Writes happen under k.mu; the epoch paths read the atomic.
+// removals. Writes happen under k.mu; the executor reads the atomic.
 const (
 	slotActive int32 = iota
 	slotDraining
@@ -94,7 +94,7 @@ func slotStateName(s int32) string {
 }
 
 // schedulable reports whether the slot may take new epoch work: live in
-// the lifecycle and healthy. Epoch paths call it per contribution, so
+// the lifecycle and healthy. The executor calls it per contribution, so
 // it is two atomic loads.
 func (bs *backendSlot) schedulable() bool {
 	return bs.state.Load() == slotActive && bs.health.Load() == int32(BackendHealthy)
@@ -149,8 +149,8 @@ func (k *Kernel) SetNoHealthyPolicy(p NoHealthyPolicy) { k.noHealthy.Store(int32
 // evacuates its apps, while the stalled commit finishes on its own
 // goroutine (healing the slot when it completes). Zero (the default)
 // disables the deadline — commits are then synchronous on the epoch
-// path with no timer or goroutine cost, which is what the
-// single-backend fast path always uses. Applies to multi-backend
+// path with no timer or goroutine cost, which is what a kernel with one
+// backend always gets (see commitBounded). Applies to multi-backend
 // epochs from the next commit on.
 func (k *Kernel) SetBackendTimeout(d time.Duration) {
 	if d < 0 {
@@ -482,19 +482,35 @@ type commitResult struct {
 	ok  bool
 }
 
-// runCommit executes one backend epoch under the backend's commit mutex
+// EpochStager is the staged form of a Backend's epoch: commit drives
+// the sub-stages itself when the backend supports it, so the dispatch
+// loop can fan out across the commit's core budget. *rtrm.Manager
+// implements it. The contract: stages run in order, all between
+// commit's acquisition and release of the backend's commit mutex; only
+// DispatchEpoch may use internal parallelism (bounded by workers); the
+// committed report must equal what RunEpoch returns for the same
+// inputs.
+type EpochStager interface {
+	BeginEpoch(dt float64, offered []*simhpc.Task)
+	SweepEpoch()
+	DispatchEpoch(workers int)
+	CommitEpoch() rtrm.EpochReport
+}
+
+// commit executes one backend epoch under the backend's commit mutex
 // with panic containment: a panicking backend becomes a Failed slot
 // with the panic recorded on its stats (and its apps evacuated by the
-// health roll), never a dead kernel. Stats republish only on success,
-// so readers never see a panicked epoch's partial state. ok=false means
-// the commit panicked; the report is then zero.
+// health roll), never a dead kernel. The stats republish and the
+// sequence bump happen only on success, so readers never see a
+// panicked epoch's partial state. ok=false means the commit panicked;
+// the report is then void.
 //
 // workers is the commit's core budget: with a staged backend
 // (EpochStager) and workers > 1 the dispatch sub-stage fans out across
 // that many goroutines; otherwise the epoch runs as the classic opaque
 // call. The staged report is bit-identical to the serial one (per-node
-// partials merged in node order), so the two paths agree exactly.
-func (k *Kernel) runCommit(bs *backendSlot, dt float64, tasks []*simhpc.Task, workers int) (rep rtrm.EpochReport, ok bool) {
+// partials merged in node order), so the two forms agree exactly.
+func (k *Kernel) commit(bs *backendSlot, dt float64, tasks []*simhpc.Task, workers int) (rep rtrm.EpochReport, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			k.setBackendHealth(bs, BackendFailed, fmt.Sprintf("backend panic: %v\n%s", r, debug.Stack()))
@@ -511,49 +527,39 @@ func (k *Kernel) runCommit(bs *backendSlot, dt float64, tasks []*simhpc.Task, wo
 		rep = bs.be.RunEpoch(dt, tasks)
 	}
 	bs.cell.publishStats(bs.be.Stats())
-	ok = true
-	return rep, ok
+	bs.seq.Add(1)
+	return rep, true
 }
 
-// commitOnce is runCommit plus the sequence bump every successful
-// commit performs.
-func (k *Kernel) commitOnce(bs *backendSlot, dt float64, tasks []*simhpc.Task, workers int) (rtrm.EpochReport, bool) {
-	rep, ok := k.runCommit(bs, dt, tasks, workers)
-	if ok {
-		bs.seq.Add(1)
-	}
-	return rep, ok
-}
-
-// commitBounded is the deadline-guarded commit the multi-backend epoch
-// paths use. Without a configured BackendTimeout it is commitOnce —
-// synchronous, no timer, no goroutine. With one, the commit runs on its
-// own goroutine and the waiter gives up at the deadline: the slot goes
-// Degraded (evacuating its apps), the epoch moves on without this
+// commitBounded is commit under the configured BackendTimeout — the
+// one place the deadline is read. Without one it is commit itself:
+// synchronous, no timer, no goroutine. So it is for a sole backend,
+// whatever the timeout: there is nowhere to reroute a stalled batch,
+// and abandoning it would only lose it. Otherwise the commit runs on
+// its own goroutine and the waiter gives up at the deadline: the slot
+// goes Degraded (evacuating its apps), the epoch moves on without this
 // backend's report, and the abandoned commit finishes in the
 // background — publishing its stats under the commit mutex as usual and
-// healing the slot once no commits remain in flight. done=false means
-// abandoned: the caller must not read the slot's report scratch, and
-// per-app accounting for the batch is the caller's to settle (the work
-// was offered; whether the stalled manager eventually ran it shows up
-// in manager telemetry, not the offered-totals ledger).
-func (k *Kernel) commitBounded(bs *backendSlot, dt float64, tasks []*simhpc.Task, workers int) (rep rtrm.EpochReport, ok, done bool) {
+// healing the slot once no commits remain in flight. ok=false means
+// panicked or abandoned: there is no report, and the batch stays in the
+// offered-totals ledger either way (the work was offered; whether a
+// stalled manager eventually ran it shows up in manager telemetry).
+func (k *Kernel) commitBounded(bs *backendSlot, dt float64, tasks []*simhpc.Task, workers int, sole bool) (rtrm.EpochReport, bool) {
 	d := time.Duration(k.backendTimeout.Load())
-	if d <= 0 {
-		rep, ok = k.commitOnce(bs, dt, tasks, workers)
-		return rep, ok, true
+	if d <= 0 || sole {
+		return k.commit(bs, dt, tasks, workers)
 	}
 	bs.inflight.Add(1)
 	var claimed atomic.Bool
 	res := make(chan commitResult, 1)
 	// The commit goroutine can outlive this call (abandonment), while
-	// every epoch path recycles its batch scratch across epochs — so the
+	// the epoch engine recycles its batch scratch across epochs — so the
 	// goroutine gets its own copy of the slice, never the caller's
 	// buffer. Task objects themselves are epoch-fresh, not recycled.
 	batch := make([]*simhpc.Task, len(tasks))
 	copy(batch, tasks)
 	go func() {
-		r, cok := k.commitOnce(bs, dt, batch, workers)
+		r, cok := k.commit(bs, dt, batch, workers)
 		if claimed.CompareAndSwap(false, true) {
 			bs.inflight.Add(-1)
 			res <- commitResult{r, cok}
@@ -572,20 +578,20 @@ func (k *Kernel) commitBounded(bs *backendSlot, dt float64, tasks []*simhpc.Task
 	select {
 	case r := <-res:
 		t.Stop()
-		return r.rep, r.ok, true
+		return r.rep, r.ok
 	case <-t.C:
 		if claimed.CompareAndSwap(false, true) {
 			k.setBackendHealth(bs, BackendDegraded,
 				fmt.Sprintf("commit exceeded the %v backend timeout", d))
-			return rtrm.EpochReport{}, false, false
+			return rtrm.EpochReport{}, false
 		}
 		// The commit landed as the timer fired; take it.
 		r := <-res
-		return r.rep, r.ok, true
+		return r.rep, r.ok
 	}
 }
 
-// awaitSchedulable resolves the epoch paths' fallback backend. With a
+// awaitSchedulable resolves the executor's fallback backend. With a
 // schedulable slot available it returns immediately; with none it
 // applies the no-healthy-backends policy: FailFast gives up at once,
 // ParkAndRetry polls with capped exponential backoff until a slot heals

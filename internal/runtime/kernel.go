@@ -46,10 +46,8 @@ var (
 // policy's refresh request all bump the generation, and the new
 // placement takes effect at the next epoch boundary with in-flight
 // batches drained — an app migrating backends never has work in
-// flight on two backends at once. With exactly one backend the kernel
-// takes a placement-free fast path identical to the pre-multi-backend
-// engine (no partitioning, no per-backend fan-out goroutines, no load
-// telemetry).
+// flight on two backends at once. One backend is the same engine with
+// one slot: every batch routes to it and its commit runs inline.
 //
 // Two driving modes share the same epoch engine:
 //
@@ -78,8 +76,8 @@ var (
 // app is admitted at the next epoch boundary, and a detaching app's
 // already-submitted batch is never dropped.
 //
-// The epoch fast path is allocation-free in steady state: the merged
-// task list and fan-out buffers are kernel-owned scratch reused across
+// The epoch path is allocation-free in steady state: the per-backend
+// task lists and fan-out buffers are kernel-owned scratch reused across
 // epochs, and the serial section every app waits on covers only the
 // backend epochs themselves, each under its backend's commit mutex.
 // Merging, ticking and workload materialization all happen outside
@@ -127,8 +125,7 @@ type Kernel struct {
 	// generations are sequential: the supervisor waits for one to wind
 	// down before starting the next) — and the two modes are mutually
 	// exclusive.
-	mergedTasks []*simhpc.Task
-	fanout      []contribution
+	fanout []contribution
 	// epochBackends is the backend set the current generation (or sync
 	// epoch) routes over — snapshotted with the app set, so an epoch
 	// never sees assignments pointing past its backend view.
@@ -169,8 +166,8 @@ type Kernel struct {
 	// Topology snapshot of the serving generation: the GOMAXPROCS it
 	// was shaped for, the shard-loop count it chose, and whether a
 	// drift-triggered reshape roll has already been requested for it
-	// (one per generation). The sync driver also refreshes topoGMP per
-	// RunEpoch so commitWorkers sees a current core budget.
+	// (one per generation). topoGMP is zero until a generation has been
+	// served; commitWorkers then reads GOMAXPROCS itself.
 	topoGMP    atomic.Int32
 	topoShards atomic.Int32
 	topoDrift  atomic.Bool
@@ -191,15 +188,15 @@ type backendSlot struct {
 	name string
 	be   Backend
 	// staged is non-nil when the backend also implements EpochStager
-	// (rtrm.Manager does): the epoch paths can then pipeline its
-	// sub-stages and fan its dispatch loop out across workers.
+	// (rtrm.Manager does): commit can then fan its dispatch loop out
+	// across workers.
 	staged EpochStager
 
 	// commitMu serializes this backend's epoch commits against each
 	// other: a deadline-abandoned commit still running in the background
-	// must not overlap the next one. Every commit path holds it around
-	// the backend epoch plus the stats republish; status readers never
-	// take it (they snapshot cell).
+	// must not overlap the next one. commit holds it around the backend
+	// epoch plus the stats republish; status readers never take it (they
+	// snapshot cell).
 	commitMu sync.Mutex
 	// seq is the backend's epoch sequence number: bumped on every
 	// commit. The control plane's SSE stream keys its per-backend
@@ -210,29 +207,25 @@ type backendSlot struct {
 	// cell is the seqlock status readers snapshot.
 	cell statsCell
 
-	// Epoch scratch — same ownership discipline as Kernel.mergedTasks.
+	// Epoch scratch — same ownership discipline as Kernel.fanout: tasks
+	// is this epoch's batch routed here, active whether any was.
 	tasks  []*simhpc.Task
 	report rtrm.EpochReport
 	active bool
-	// Stage-pool scratch (stage.go): the backend's progress through the
-	// sub-stage pipeline this epoch and whether commitMu is held across
-	// stages (for panic cleanup). Only touched by executeStaged.
-	stage       int
-	stageLocked bool
 
-	// Placement telemetry, under Kernel.loadMu. Only maintained on the
-	// multi-backend path; see BackendLoad.
+	// Placement telemetry, under Kernel.loadMu; see BackendLoad.
 	offered      float64
 	deferredEWMA float64
 	apps         int
 
 	// Failure domain (see health.go). state is the lifecycle tombstone
 	// (slotActive..slotRemoved), health the BackendHealth — both written
-	// under k.mu, read lock-free by the epoch paths (schedulable).
+	// under k.mu, read lock-free by the executor (schedulable).
 	// inflight counts deadline-guarded commits outstanding on the slot;
 	// lastErr (under k.mu) is the most recent panic/stall reason.
-	// committed is epoch-engine scratch: whether this epoch's bounded
-	// commit finished in time (bs.report is only valid when it did).
+	// committed is epoch-engine scratch: whether this epoch's commit
+	// finished — in time and without a panic (bs.report is only valid
+	// when it did).
 	state     atomic.Int32
 	health    atomic.Int32
 	inflight  atomic.Int32
@@ -614,8 +607,8 @@ func (k *Kernel) requestPlacementRefresh() {
 // it. That is the whole evacuation mechanism: a health or lifecycle
 // transition rolls a generation, and this refresh re-places the
 // affected apps exactly like a live migration. With no schedulable
-// backend at all, assignments are left as they are; the epoch paths
-// apply the no-healthy-backends policy instead.
+// backend at all, assignments are left as they are; the executor
+// applies the no-healthy-backends policy instead.
 func (k *Kernel) refreshPlacementLocked() {
 	if k.placeGen == k.memGen {
 		return
@@ -624,16 +617,6 @@ func (k *Kernel) refreshPlacementLocked() {
 	n := len(k.backends)
 	if n == 0 {
 		return // nothing to place on yet; apps stay unplaced
-	}
-	if n == 1 && k.backends[0].schedulable() {
-		for _, ctl := range k.apps {
-			ctl.backend.Store(0)
-		}
-		k.loadMu.Lock()
-		k.backends[0].apps = len(k.apps)
-		k.loadMu.Unlock()
-		k.backends[0].cell.publishApps(len(k.apps))
-		return
 	}
 	sched := make([]int, 0, n) // schedulable view index → real slot index
 	pos := make([]int, n)      // real slot index → view index, -1 if out
@@ -649,7 +632,7 @@ func (k *Kernel) refreshPlacementLocked() {
 		}
 	}
 	if len(sched) == 0 {
-		return // total outage: keep assignments, let the epoch paths park
+		return // total outage: keep assignments, let the executor park
 	}
 	counts := make([]int, n)
 	if len(sched) == 1 {
@@ -865,8 +848,8 @@ type EpochResult struct {
 	// them.
 	Report rtrm.EpochReport
 	// Backends holds each contributing backend's own report, in
-	// registration order. Nil on the single-backend fast path, where
-	// Report already is the sole backend's account.
+	// registration order. Nil when the kernel has one backend: Report
+	// already is its account.
 	Backends []BackendEpoch
 	// PerApp is the GFlop each contributing app offered this epoch.
 	PerApp map[string]float64
@@ -887,20 +870,13 @@ type contribution struct {
 }
 
 // execute runs one kernel epoch over the merged contributions. It is
-// the single funnel for the synchronous driver, the degenerate
-// single-shard concurrent mode and the per-generation executor. Its
-// callers are serialized (see the scratch-field comment); merging
-// stays outside any lock, and the commit locks cover only the backend
-// epochs themselves. OnEpoch callbacks run here: on the caller's
-// goroutine in sync mode, on the kernel's epoch-executor goroutine in
-// concurrent mode.
+// the single funnel for the synchronous driver, the single-shard
+// concurrent loop and the per-generation executor; its callers are
+// serialized (see the scratch-field comment). OnEpoch callbacks run
+// here: on the caller's goroutine in sync mode, on the kernel's
+// epoch-executor goroutine in concurrent mode.
 func (k *Kernel) execute(dt float64, contribs []contribution) EpochResult {
-	var res EpochResult
-	if bks := k.epochBackends; len(bks) == 1 {
-		res = k.executeSingle(dt, contribs, bks[0])
-	} else {
-		res = k.executeRouted(dt, contribs, bks)
-	}
+	res := k.routeAndCommit(dt, contribs)
 	for _, c := range contribs {
 		if c.ctl.spec.OnEpoch != nil {
 			c.ctl.spec.OnEpoch(res)
@@ -910,64 +886,22 @@ func (k *Kernel) execute(dt float64, contribs []contribution) EpochResult {
 	return res
 }
 
-// executeSingle is the single-backend fast path: the pre-multi-backend
-// epoch, with no placement routing, no per-backend fan-out and no load
-// telemetry — one merge, one backend epoch, allocation-free on kernel
-// scratch. The backend's commit mutex is the whole serial section.
-// The commit deadline never applies here either — with a single
-// backend there is nowhere to reroute a stalled batch, so the commit
-// stays synchronous and timer-free (the panic guard still applies).
-func (k *Kernel) executeSingle(dt float64, contribs []contribution, bs *backendSlot) EpochResult {
-	all := k.mergedTasks[:0]
+// routeAndCommit is the epoch itself, one body for any number of
+// backends: partition the acceptance batch by each contributing app's
+// placed backend, then run every contributing backend's epoch — inline
+// when only one has work, concurrently otherwise; backends without
+// contributors do not run. The call is the epoch barrier: it waits for
+// every contributing backend before returning. Merging stays outside
+// any lock, and the commit locks cover only the backend epochs
+// themselves. Afterwards the per-backend load telemetry feeds the
+// placement policy, and an EpochObserver policy may request the
+// generation roll that migrates an app.
+func (k *Kernel) routeAndCommit(dt float64, contribs []contribution) EpochResult {
+	bks := k.epochBackends
+	sole := len(bks) == 1
 	// PerApp escapes to OnEpoch observers and RunEpoch callers, who may
 	// hold it across epochs, so it is the one per-epoch allocation that
 	// cannot come from scratch.
-	perApp := make(map[string]float64, len(contribs))
-	for _, c := range contribs {
-		sum := 0.0
-		for _, t := range c.tasks {
-			sum += t.GFlop
-		}
-		perApp[c.ctl.Name()] += sum // every contributor appears, even with zero work
-		c.ctl.addTotal(sum)
-		all = append(all, c.tasks...)
-	}
-	// Zero the reused buffer's tail so one burst epoch's task pointers
-	// are not pinned for the kernel's lifetime by smaller later epochs.
-	clear(all[len(all):cap(all)])
-	k.mergedTasks = all
-
-	if !bs.schedulable() {
-		// The sole backend failed (a panic last epoch). Park or write
-		// off per policy; a revive heals in place, so a parked batch
-		// commits on the same slot.
-		if _, ok := k.awaitSchedulable(k.parkCtx, []*backendSlot{bs}); !ok {
-			k.writeOff(contribs)
-			return EpochResult{Epoch: k.epochs.Add(1), PerApp: perApp}
-		}
-	}
-	rep, ok := k.commitOnce(bs, dt, all, k.commitWorkers(1))
-	epoch := k.epochs.Add(1)
-	if !ok {
-		// The backend panicked mid-commit: the slot is Failed and the
-		// report void. The offered totals above stand — the ledger
-		// records what apps offered (chaos exactness depends on it);
-		// what actually ran is the manager's own telemetry.
-		return EpochResult{Epoch: epoch, PerApp: perApp}
-	}
-	return EpochResult{Epoch: epoch, Report: rep, PerApp: perApp}
-}
-
-// executeRouted is the multi-backend epoch: partition the merged
-// acceptance batch by each contributing app's placed backend, then run
-// every contributing backend's epoch concurrently; backends without
-// contributors this epoch do not run. The call is the epoch barrier:
-// it waits for every contributing backend before returning, one
-// batch-merged epoch at a time (its callers are serialized — see
-// execute). Afterwards the per-backend load telemetry feeds the
-// placement policy, and an EpochObserver policy may request the
-// generation roll that migrates an app.
-func (k *Kernel) executeRouted(dt float64, contribs []contribution, bks []*backendSlot) EpochResult {
 	perApp := make(map[string]float64, len(contribs))
 	for _, bs := range bks {
 		bs.tasks = bs.tasks[:0]
@@ -989,7 +923,7 @@ func (k *Kernel) executeRouted(dt float64, contribs []contribution, bks []*backe
 		for _, t := range c.tasks {
 			sum += t.GFlop
 		}
-		perApp[c.ctl.Name()] += sum
+		perApp[c.ctl.Name()] += sum // every contributor appears, even with zero work
 		c.ctl.addTotal(sum)
 		if fallback < 0 {
 			continue // write-off epoch: account, don't route
@@ -1006,67 +940,64 @@ func (k *Kernel) executeRouted(dt float64, contribs []contribution, bks []*backe
 		k.writeOff(contribs)
 		return EpochResult{Epoch: k.epochs.Add(1), PerApp: perApp}
 	}
+	if sole {
+		// A sole backend commits even an epoch nobody contributed to:
+		// its simulated time and thermals still step.
+		bks[0].active = true
+	}
 	nActive := 0
 	for _, bs := range bks {
-		clear(bs.tasks[len(bs.tasks):cap(bs.tasks)]) // no pinned stale tasks
+		// Zero the reused buffer's tail so one burst epoch's task pointers
+		// are not pinned for the kernel's lifetime by smaller later epochs.
+		clear(bs.tasks[len(bs.tasks):cap(bs.tasks)])
 		if bs.active {
 			nActive++
 		}
 	}
 
-	if nActive == 1 {
-		for _, bs := range bks {
-			if bs.active {
-				bs.report, bs.committed, _ = k.commitBounded(bs, dt, bs.tasks, k.commitWorkers(1))
-			}
+	cw := k.commitWorkers(nActive)
+	var wg sync.WaitGroup
+	for _, bs := range bks {
+		if !bs.active {
+			continue
 		}
-	} else if nActive > 1 {
-		cw := k.commitWorkers(nActive)
-		if k.backendTimeout.Load() == 0 && allStaged(bks) {
-			// Deadline-free and every backend staged: run the sub-stage
-			// pipeline — a slow cap on b0 no longer delays b2's dispatch.
-			k.executeStaged(dt, bks, nActive, cw)
-		} else {
-			var wg sync.WaitGroup
-			for _, bs := range bks {
-				if !bs.active {
-					continue
-				}
-				wg.Add(1)
-				go func(bs *backendSlot) {
-					defer wg.Done()
-					rep, ok, done := k.commitBounded(bs, dt, bs.tasks, cw)
-					if done {
-						bs.report, bs.committed = rep, ok
-					}
-					// Abandoned (done=false): the stalled commit still runs
-					// and must not race this epoch's scratch — leave
-					// bs.report alone; committed stays false.
-				}(bs)
-			}
-			wg.Wait()
+		if nActive == 1 {
+			// Nothing to overlap with: commit on the epoch goroutine.
+			bs.report, bs.committed = k.commitBounded(bs, dt, bs.tasks, cw, sole)
+			break
 		}
+		wg.Add(1)
+		go func(bs *backendSlot) {
+			defer wg.Done()
+			bs.report, bs.committed = k.commitBounded(bs, dt, bs.tasks, cw, false)
+		}(bs)
 	}
+	wg.Wait()
+
 	res := EpochResult{Epoch: k.epochs.Add(1), PerApp: perApp}
-	if nActive > 0 {
+	if !sole && nActive > 0 {
 		res.Backends = make([]BackendEpoch, 0, nActive)
 	}
-	for _, bs := range bks {
-		if !bs.active || !bs.committed {
-			continue // panicked or abandoned: no report to aggregate
-		}
-		res.Report.EnergyJ += bs.report.EnergyJ
-		res.Report.DoneGFlop += bs.report.DoneGFlop
-		res.Report.DeferredGFlop += bs.report.DeferredGFlop
-		res.Report.HotNodes += bs.report.HotNodes
-		res.Backends = append(res.Backends, BackendEpoch{Name: bs.name, Report: bs.report})
-	}
-
-	// Per-backend load telemetry for placement decisions.
+	// Aggregate the reports and refresh the per-backend load telemetry
+	// placement decisions read. A panicked or abandoned commit has no
+	// report: the offered totals above stand regardless — the ledger
+	// records what apps offered (chaos exactness depends on it); what
+	// actually ran is the manager's own telemetry.
 	k.loadMu.Lock()
 	for _, bs := range bks {
 		if !bs.active || !bs.committed {
 			continue
+		}
+		if sole {
+			// One backend: its report verbatim (Plan and Cap have no
+			// merge) and Backends nil — the documented EpochResult shape.
+			res.Report = bs.report
+		} else {
+			res.Report.EnergyJ += bs.report.EnergyJ
+			res.Report.DoneGFlop += bs.report.DoneGFlop
+			res.Report.DeferredGFlop += bs.report.DeferredGFlop
+			res.Report.HotNodes += bs.report.HotNodes
+			res.Backends = append(res.Backends, BackendEpoch{Name: bs.name, Report: bs.report})
 		}
 		offered := bs.report.DoneGFlop + bs.report.DeferredGFlop
 		bs.offered = offered
@@ -1278,6 +1209,23 @@ type shard struct {
 	timer *time.Timer
 }
 
+// tick runs one round of the shard's control loops — tick each app,
+// materialize its epoch workload — leaving the batch in sh.contribs.
+func (sh *shard) tick(k *Kernel) {
+	sh.contribs = sh.contribs[:0]
+	for _, ctl := range sh.apps {
+		tasks, err, live := k.tickApp(ctl)
+		if err != nil {
+			k.noteErr(fmt.Errorf("runtime: %s: %w", ctl.Name(), err))
+			tasks = nil
+		}
+		if !live {
+			continue // quarantined by a panic: contributes nothing
+		}
+		sh.contribs = append(sh.contribs, contribution{ctl: ctl, tasks: tasks})
+	}
+}
+
 // Start launches the concurrent kernel: a supervisor goroutine that
 // serves the attached app set one membership generation at a time —
 // sharded control-loop workers, the batched epoch scheduler and the
@@ -1415,11 +1363,8 @@ func (k *Kernel) serveGeneration(ctx context.Context, changed <-chan struct{}, a
 	var loopsWG, genWG sync.WaitGroup
 	if nShards == 1 {
 		// One worker covers every app (single-core host, or a single
-		// app): scheduler, executor and epoch barrier would only add
-		// handoffs between goroutines that cannot run in parallel
-		// anyway. Degenerate to one uncontended control-loop driver —
-		// the non-threaded event-driven core, with telemetry producers
-		// still feeding the lock-free inboxes from outside.
+		// app): kept apart from the sharded topology by measurement —
+		// see singleLoop.
 		loopsWG.Add(1)
 		go k.singleLoop(gctx, shards[0], opts, &loopsWG)
 	} else {
@@ -1441,9 +1386,12 @@ func (k *Kernel) serveGeneration(ctx context.Context, changed <-chan struct{}, a
 	genWG.Wait()
 }
 
-// singleLoop is the degenerate concurrent mode for one shard: tick,
-// materialize, execute, repeat — no batching machinery, because there
-// is nothing to batch against.
+// singleLoop is the concurrent mode for one shard: tick, materialize,
+// execute, repeat on one goroutine. It is shardLoop + scheduler +
+// executor with the hand-offs removed, and stays because they measure:
+// at GOMAXPROCS=1, K2 apps=1 runs 8.0 µs/epoch here against 9.4 µs
+// through the sharded machinery, faster in 17 of 20 alternating pairs
+// (EXPERIMENTS.md, "singleLoop vs one shardLoop (PR 22)").
 func (k *Kernel) singleLoop(ctx context.Context, sh *shard, opts Options, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for rounds := 0; ; rounds++ {
@@ -1455,18 +1403,7 @@ func (k *Kernel) singleLoop(ctx context.Context, sh *shard, opts Options, wg *sy
 			// the generation when the topology has gone stale.
 			k.maybeReshape()
 		}
-		sh.contribs = sh.contribs[:0]
-		for _, ctl := range sh.apps {
-			tasks, err, live := k.tickApp(ctl)
-			if err != nil {
-				k.noteErr(fmt.Errorf("runtime: %s: %w", ctl.Name(), err))
-				tasks = nil
-			}
-			if !live {
-				continue // quarantined by a panic: contributes nothing
-			}
-			sh.contribs = append(sh.contribs, contribution{ctl: ctl, tasks: tasks})
-		}
+		sh.tick(k)
 		k.execute(opts.EpochDt, sh.contribs)
 		if opts.Interval > 0 {
 			if !sh.pause(ctx, opts.Interval) {
@@ -1514,18 +1451,7 @@ func (k *Kernel) shardLoop(ctx context.Context, sh *shard, opts Options, hub *wa
 		if ctx.Err() != nil {
 			return
 		}
-		sh.contribs = sh.contribs[:0]
-		for _, ctl := range sh.apps {
-			tasks, err, live := k.tickApp(ctl)
-			if err != nil {
-				k.noteErr(fmt.Errorf("runtime: %s: %w", ctl.Name(), err))
-				tasks = nil
-			}
-			if !live {
-				continue // quarantined by a panic: contributes nothing
-			}
-			sh.contribs = append(sh.contribs, contribution{ctl: ctl, tasks: tasks})
-		}
+		sh.tick(k)
 		// The submission never blocks — it is a lock-free push — even
 		// during generation wind-down, which is what guarantees a parked
 		// shard's last batch is still queued for the scheduler's drain

@@ -40,8 +40,7 @@ type BackendLoad struct {
 	// last placement refresh.
 	Apps int
 	// OfferedGFlop is the work offered to the backend in the most
-	// recent epoch it ran (0 until the kernel has ≥ 2 backends: the
-	// single-backend fast path does not maintain load telemetry).
+	// recent epoch it committed (0 until it has).
 	OfferedGFlop float64
 	// DeferredFrac is an EWMA of the fraction of offered work the
 	// backend deferred in recent epochs — the signal SLA-aware steering

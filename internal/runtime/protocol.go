@@ -9,16 +9,17 @@ import (
 )
 
 // statsCell is a per-backend seqlock publishing the backend's
-// cumulative stats and placement app count to status readers
-// (ManagerStats, BackendStats — the control plane's /v1/epochs and SSE
-// path), which take Silo-style optimistic snapshots: read the version,
-// read the fields, retry if the version was odd or moved. It is the
-// only status read path, so a reader never waits on a commit. The
-// writer is the (per-backend serialized) commit path plus the
-// quiescent-only placement refresh, so writes never race each other;
-// ver is odd while a write is in progress. Fields are atomics so the
-// race detector sees the reader/writer overlap as synchronized — the
-// version protocol is what makes the multi-field snapshot consistent.
+// cumulative stats to status readers (ManagerStats, BackendStats — the
+// control plane's /v1/epochs and SSE path), which take Silo-style
+// optimistic snapshots: read the version, read the fields, retry if the
+// version was odd or moved. It is the only status read path, so a
+// reader never waits on a commit. The commit path (serialized per
+// backend by commitMu) is the version's only writer, so ver is odd
+// exactly while a stats write is in progress; the placement app count
+// rides along as one independent word outside the version protocol
+// (see publishApps). Fields are atomics so the race detector sees the
+// reader/writer overlap as synchronized — the version protocol is what
+// makes the multi-field snapshot consistent.
 // The cell's eight words fill exactly one 64-byte cache line; the pads
 // keep neighbouring backendSlot fields (seq, the commit mutex) off that
 // line, so readers polling ver do not ping-pong the
@@ -49,17 +50,15 @@ func (c *statsCell) publishStats(s rtrm.Stats) {
 	c.ver.Add(1)
 }
 
-// publishApps republishes the placement app count. Called only while
-// the epoch engine is quiescent (placement refresh), so it cannot
-// interleave with publishStats.
-func (c *statsCell) publishApps(n int) {
-	c.ver.Add(1)
-	c.apps.Store(int64(n))
-	c.ver.Add(1)
-}
+// publishApps republishes the placement app count (placement refresh,
+// under k.mu). A plain store with no version bump: a deadline-abandoned
+// commit can still be inside publishStats on a Degraded slot while the
+// next generation's refresh runs, and a second ver writer could leave
+// ver even mid-write and let snapshot return torn stats.
+func (c *statsCell) publishApps(n int) { c.apps.Store(int64(n)) }
 
-// snapshot returns a consistent (stats, apps) pair, retrying while a
-// write is in progress or completed mid-read.
+// snapshot returns a consistent stats snapshot, retrying while a write
+// is in progress or completed mid-read, plus the current app count.
 func (c *statsCell) snapshot() (rtrm.Stats, int) {
 	for {
 		v1 := c.ver.Load()

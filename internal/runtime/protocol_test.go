@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,11 +57,26 @@ func TestStatsCellTornSnapshot(t *testing.T) {
 // TestStatsCellConsistency is the seqlock stress: one writer publishes
 // correlated fields (work = 2×epochs, thermal = 3×epochs) as fast as it
 // can while readers snapshot concurrently — any snapshot mixing two
-// publishes breaks the correlation.
+// publishes breaks the correlation. A second goroutine republishes the
+// app count throughout, as a placement refresh does beside an abandoned
+// commit still publishing on a Degraded slot: it must not disturb the
+// version protocol.
 func TestStatsCellConsistency(t *testing.T) {
 	var c statsCell
 	done := make(chan struct{})
 	var wrote atomic.Int64
+	appsDone := make(chan struct{})
+	go func() {
+		defer close(appsDone)
+		for n := 0; ; n++ {
+			c.publishApps(n)
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
 	go func() {
 		defer close(done)
 		for n := int64(1); n <= 20000; n++ {
@@ -94,6 +110,7 @@ func TestStatsCellConsistency(t *testing.T) {
 	}
 	wg.Wait()
 	<-done
+	<-appsDone
 	if s, _ := c.snapshot(); int64(s.Epochs) != wrote.Load() {
 		t.Errorf("final snapshot epochs %d, want %d", s.Epochs, wrote.Load())
 	}
@@ -221,6 +238,104 @@ func TestStatusReadsDoNotBlockOnCommit(t *testing.T) {
 	if st := k.BackendStats()[0]; st.Seq != 2 || st.Epochs != 2 {
 		t.Errorf("b0 after the gated commit landed: %+v, want seq=2 epochs=2", st)
 	}
+}
+
+// TestSoleBackendEpochContract pins what a kernel with exactly one
+// backend promises, next to the two-backend behaviour it differs from:
+// the sole backend's report comes back verbatim with Backends nil, an
+// epoch nobody contributes to still steps the backend, and the commit
+// deadline never abandons its commit (there is nowhere to reroute the
+// batch) — while two backends with one contributor get a one-entry
+// Backends list and the deadline.
+func TestSoleBackendEpochContract(t *testing.T) {
+	gated := &gatedBackend{
+		Backend: testManagerAt(2, 15),
+		entered: make(chan struct{}, 1),
+		gate:    make(chan struct{}),
+	}
+	k := NewKernel(gated)
+	if _, err := k.Attach(simpleSpec("a", simhpc.NewWorkloadGen(7), 2)); err != nil {
+		t.Fatal(err)
+	}
+	// An identical manager fed the identical workload is the reference
+	// for "the backend's own report".
+	twin, twinGen := testManagerAt(2, 15), simhpc.NewWorkloadGen(7)
+	res, err := k.RunEpoch(60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := twin.RunEpoch(60, twinGen.Mix(2, 1, 1, 1, 8))
+	if res.Backends != nil {
+		t.Errorf("sole backend: Backends = %+v, want nil", res.Backends)
+	}
+	if !reflect.DeepEqual(res.Report, want) {
+		t.Errorf("sole backend: Report = %+v, want the manager's own %+v", res.Report, want)
+	}
+	if res.Report.Plan == (rtrm.Plan{}) || res.Report.Cap.FacilityW == 0 {
+		t.Errorf("sole backend: Plan/Cap lost: %+v", res.Report)
+	}
+
+	// The deadline does not apply: a commit parked far past it neither
+	// degrades the slot nor returns early.
+	k.SetBackendTimeout(time.Millisecond)
+	gated.armed.Store(true)
+	epochDone := make(chan error, 1)
+	go func() {
+		_, err := k.RunEpoch(60)
+		epochDone <- err
+	}()
+	<-gated.entered
+	time.Sleep(20 * time.Millisecond) // the fixture: outlast the 1 ms deadline
+	if _, h, _ := k.BackendState("b0"); h != BackendHealthy {
+		t.Errorf("sole backend past the deadline: %s, want healthy", h)
+	}
+	select {
+	case err := <-epochDone:
+		t.Fatalf("sole-backend epoch returned with its commit still parked (err %v)", err)
+	default:
+	}
+	close(gated.gate)
+	if err := <-epochDone; err != nil {
+		t.Fatal(err)
+	}
+	if st := k.BackendStats()[0]; st.Health != BackendHealthy || st.Epochs != 2 {
+		t.Errorf("after the parked commit landed: %+v, want healthy with 2 epochs", st)
+	}
+
+	// No live contribution: the backend's simulated time still steps.
+	if err := k.Detach("a"); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = k.RunEpoch(60); err != nil {
+		t.Fatal(err)
+	}
+	if got := k.BackendStats()[0].Epochs; got != 3 || len(res.PerApp) != 0 {
+		t.Errorf("empty epoch: backend ran %d epochs (PerApp %v), want 3 and none", got, res.PerApp)
+	}
+
+	// Two backends, one contributor: per-backend reports, and the
+	// deadline abandons a parked commit.
+	k2, gated2, open := gatedKernel(t)
+	defer open()
+	if err := k2.Detach("app1"); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = k2.RunEpoch(60); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Backends) != 1 || res.Backends[0].Name != "b0" {
+		t.Errorf("two backends, one contributor: Backends = %+v, want [b0]", res.Backends)
+	}
+	k2.SetBackendTimeout(time.Millisecond)
+	gated2.armed.Store(true)
+	if res, err = k2.RunEpoch(60); err != nil {
+		t.Fatal(err)
+	}
+	if _, h, _ := k2.BackendState("b0"); h != BackendDegraded || len(res.Backends) != 0 {
+		t.Errorf("parked commit with a second backend: b0 %s, Backends %+v; want degraded and no report", h, res.Backends)
+	}
+	open()
+	waitHealth(t, k2, "b0", BackendHealthy)
 }
 
 // TestEpochSignalPerBackendCommit: a commit released after a stall
