@@ -207,14 +207,16 @@ func TestEpochStream(t *testing.T) {
 		t.Errorf("event payload incomplete: %+v", last)
 	}
 
-	// A cancelled consumer surfaces ctx.Err, not a decode error.
+	// A consumer cancelled mid-stream (here: from its first callback)
+	// surfaces ctx.Err, not a decode error.
 	cctx, ccancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- c.StreamEpochs(cctx, time.Millisecond, func(EpochsStatus) bool { return true })
+		done <- c.StreamEpochs(cctx, time.Millisecond, func(EpochsStatus) bool {
+			ccancel()
+			return true
+		})
 	}()
-	time.Sleep(20 * time.Millisecond)
-	ccancel()
 	select {
 	case err := <-done:
 		if err == nil || !strings.Contains(err.Error(), "context canceled") {

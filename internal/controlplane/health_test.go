@@ -220,7 +220,8 @@ func TestAppStatusCarriesDropNote(t *testing.T) {
 func TestSSEBackendEvents(t *testing.T) {
 	k, c, _ := newFaultPlane(t)
 
-	req, err := http.NewRequest(http.MethodGet, c.base+"/v1/epochs/stream?interval=1s", nil)
+	// A one-second throttle: the backend frame must cut through it.
+	req, err := http.NewRequest(http.MethodGet, c.base+"/v1/epochs/stream?interval_ms=1000", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,13 +233,21 @@ func TestSSEBackendEvents(t *testing.T) {
 	}
 	defer resp.Body.Close()
 
-	// Give the stream a beat to subscribe, then drive a transition.
-	time.Sleep(50 * time.Millisecond)
+	// The handler subscribes before it writes the initial epochs frame,
+	// so once that frame is read the transition cannot be missed.
+	scanner := bufio.NewScanner(resp.Body)
+	scanner.Buffer(make([]byte, 64<<10), 1<<20)
+	initial := false
+	for !initial && scanner.Scan() {
+		initial = strings.HasPrefix(scanner.Text(), "data: ")
+	}
+	if !initial {
+		t.Fatalf("no initial epochs frame (scan err %v)", scanner.Err())
+	}
 	go func() {
 		_ = k.RemoveBackend("b1")
 	}()
 
-	scanner := bufio.NewScanner(resp.Body)
 	sawBackendEvent := false
 	var data string
 	for scanner.Scan() {

@@ -952,9 +952,9 @@ func (s *Server) ingestStream(r *http.Request, ra *remoteApp, samples []runtime.
 }
 
 // status renders one tenant. totals is an optional snapshot for list
-// endpoints (TotalsPerApp copies the whole map under the kernel's
-// epoch lock, so a list re-fetching per app would put an O(N²) load on
-// the epoch serial section); nil means the O(1) single-app read.
+// endpoints (TotalsPerApp copies the whole ledger into a map, so a list
+// re-fetching it per app would be O(N²)); nil means the O(1)
+// single-app read.
 func (s *Server) status(ra *remoteApp, totals map[string]float64) AppStatus {
 	total, ok := totals[ra.spec.Name]
 	if !ok && totals == nil {
@@ -1050,166 +1050,6 @@ func (s *Server) backendStatuses() []BackendStatus {
 		}
 	}
 	return out
-}
-
-// epochsStatus assembles the /v1/epochs payload (also the SSE event
-// body).
-func (s *Server) epochsStatus() EpochsStatus {
-	k := s.kernel
-	ms := k.ManagerStats()
-	return EpochsStatus{
-		Epochs:           k.Epochs(),
-		Generation:       k.Generation(),
-		ServedGeneration: k.ServedGeneration(),
-		Apps:             k.NumApps(),
-		TotalsPerApp:     k.TotalsPerApp(),
-		WorkGFlop:        ms.WorkGFlop,
-		DeferredGFlop:    ms.DeferredGFlop,
-		EnergyJ:          ms.EnergyJ,
-		Backends:         s.backendStatuses(),
-	}
-}
-
-func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.epochsStatus())
-}
-
-// handleEpochStream is the server-sent-events feed of /v1/epochs
-// (GET /v1/epochs/stream): one "epochs" event per epoch advance,
-// throttled to at most one event per interval (?interval_ms, default
-// 250, 0 = every epoch signal) so a kernel running epochs at
-// microsecond pace cannot flood the connection. Clients watch the
-// stream instead of polling /v1/epochs; the subscription costs the
-// epoch hot path a single atomic load. Backend state transitions
-// (failed, degraded, healed, draining, removed) arrive as separate
-// "backend" events, immediately — a failure bypasses the interval
-// throttle, because the throttle exists for epoch cadence, not for
-// rare state changes an operator is waiting on. The stream ends only
-// when the client disconnects.
-func (s *Server) handleEpochStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, CodeInternal, "streaming unsupported by this connection")
-		return
-	}
-	interval := 250 * time.Millisecond
-	if q := r.URL.Query().Get("interval_ms"); q != "" {
-		ms, err := strconv.Atoi(q)
-		if err != nil || ms < 0 || ms > 60_000 {
-			badRequest(w, "interval_ms %q out of range [0, 60000]", q)
-			return
-		}
-		interval = time.Duration(ms) * time.Millisecond
-	}
-	sig, cancel := s.kernel.EpochSignal()
-	defer cancel()
-	bev, bcancel := s.kernel.BackendEvents()
-	defer bcancel()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	enc := json.NewEncoder(w)
-	// Coalescing is per backend, not per global epoch counter: a commit
-	// that outlived the backend timeout lands after its epoch, and that
-	// late backend's commit must produce an event even when the global
-	// counter moved (and was streamed) long before. An
-	// event is suppressed only when the epoch counter AND every
-	// backend's seq are unchanged since the last one.
-	lastEpoch := int64(-1)
-	var lastSeqs []int64
-	fresh := func(st EpochsStatus) bool {
-		if st.Epochs != lastEpoch || len(st.Backends) != len(lastSeqs) {
-			return true
-		}
-		for i, b := range st.Backends {
-			if b.Seq != lastSeqs[i] {
-				return true
-			}
-		}
-		return false
-	}
-	send := func() error {
-		st := s.epochsStatus()
-		if !fresh(st) {
-			return nil // woken but nothing new (coalesced signals)
-		}
-		lastEpoch = st.Epochs
-		lastSeqs = lastSeqs[:0]
-		for _, b := range st.Backends {
-			lastSeqs = append(lastSeqs, b.Seq)
-		}
-		if _, err := io.WriteString(w, "event: epochs\ndata: "); err != nil {
-			return err
-		}
-		if err := enc.Encode(st); err != nil { // Encode appends one \n
-			return err
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-		fl.Flush()
-		return nil
-	}
-	sendBackend := func(ev runtime.BackendEvent) error {
-		body := BackendEventBody{
-			Backend: ev.Backend,
-			Health:  ev.Health.String(),
-			State:   ev.State,
-			Reason:  ev.Reason,
-		}
-		if _, err := io.WriteString(w, "event: backend\ndata: "); err != nil {
-			return err
-		}
-		if err := enc.Encode(body); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-		fl.Flush()
-		return nil
-	}
-	if err := send(); err != nil { // initial snapshot, before any epoch
-		return
-	}
-	done := r.Context().Done()
-	for {
-		select {
-		case <-done:
-			return
-		case ev := <-bev:
-			if err := sendBackend(ev); err != nil {
-				return
-			}
-			continue
-		case <-sig:
-		}
-		if interval > 0 {
-			// Throttle: coalesce the epochs that land inside the window.
-			// Backend transitions still cut through mid-window.
-			t := time.NewTimer(interval)
-		throttle:
-			for {
-				select {
-				case <-done:
-					t.Stop()
-					return
-				case ev := <-bev:
-					if err := sendBackend(ev); err != nil {
-						t.Stop()
-						return
-					}
-				case <-t.C:
-					break throttle
-				}
-			}
-		}
-		if err := send(); err != nil {
-			return
-		}
-	}
 }
 
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {

@@ -109,9 +109,13 @@ type Kernel struct {
 	// controllers whose final drained epoch may not have committed yet —
 	// they fold into detachedTotals at the next quiescent point. Both
 	// under k.mu; reads sum all three sources, so totals are never lost
-	// or double-counted across detach/re-attach churn.
+	// or double-counted across detach/re-attach churn. ledger caches the
+	// name-sorted index of those sources (ledger.go); ledgerVer, bumped
+	// under k.mu by every change to them, says when it is stale.
 	detachedTotals map[string]float64
 	pendingRetire  []*Controller
+	ledger         atomic.Pointer[ledgerIndex]
+	ledgerVer      atomic.Int64
 	epochs         atomic.Int64
 
 	// loadMu guards the per-backend placement telemetry (backendSlot
@@ -505,6 +509,7 @@ func (k *Kernel) Attach(spec AppSpec) (*Controller, error) {
 	ctl := NewController(spec)
 	k.apps = append(k.apps, ctl)
 	k.byName[spec.Name] = ctl
+	k.ledgerChangedLocked()
 	k.membershipChangedLocked()
 	return ctl, nil
 }
@@ -535,6 +540,7 @@ func (k *Kernel) Detach(name string) error {
 	// The controller's drained final epoch may still commit totals; park
 	// it until the engine quiesces, then fold into detachedTotals.
 	k.pendingRetire = append(k.pendingRetire, gone)
+	k.ledgerChangedLocked()
 	k.membershipChangedLocked()
 	return nil
 }
@@ -558,22 +564,6 @@ func (k *Kernel) SwapPolicy(name string, p Policy, kb Knob) (Policy, error) {
 	old := ctl.SwapPolicy(p, kb)
 	k.membershipChangedLocked()
 	return old, nil
-}
-
-// foldRetiredLocked folds the totals of detached controllers into the
-// detachedTotals map. Callers hold k.mu and know the epoch engine is
-// quiescent (supervisor between generations, sync driver between
-// epochs, Stop after the supervisor exits) — a parked controller can
-// commit nothing further, so its total is final.
-func (k *Kernel) foldRetiredLocked() {
-	if len(k.pendingRetire) == 0 {
-		return
-	}
-	for _, ctl := range k.pendingRetire {
-		k.detachedTotals[ctl.Name()] += ctl.totalGFlop()
-	}
-	clear(k.pendingRetire)
-	k.pendingRetire = k.pendingRetire[:0]
 }
 
 // membershipChangedLocked bumps the membership epoch and wakes the
@@ -779,45 +769,6 @@ func (k *Kernel) NumApps() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return len(k.apps)
-}
-
-// TotalFor returns one application's cumulative offered GFlop — the
-// O(1) read for per-app status endpoints, where TotalsPerApp's full
-// map copy would be per-request O(apps). The total lives on the
-// controller as an atomic, so the read never touches a commit lock.
-func (k *Kernel) TotalFor(name string) float64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	g := k.detachedTotals[name]
-	for _, ctl := range k.pendingRetire {
-		if ctl.Name() == name {
-			g += ctl.totalGFlop()
-		}
-	}
-	if ctl := k.byName[name]; ctl != nil {
-		g += ctl.totalGFlop()
-	}
-	return g
-}
-
-// TotalsPerApp returns the cumulative GFlop each application has
-// offered to the manager (the manager's own telemetry tracks how much
-// was executed vs deferred). Detached apps keep their entries; an app
-// detached and re-attached under the same name sums both lifetimes.
-func (k *Kernel) TotalsPerApp() map[string]float64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make(map[string]float64, len(k.detachedTotals)+len(k.apps))
-	for n, g := range k.detachedTotals {
-		out[n] = g
-	}
-	for _, ctl := range k.pendingRetire {
-		out[ctl.Name()] += ctl.totalGFlop()
-	}
-	for _, ctl := range k.apps {
-		out[ctl.Name()] += ctl.totalGFlop()
-	}
-	return out
 }
 
 // Err returns the first workload error observed by the concurrent
