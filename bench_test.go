@@ -728,10 +728,11 @@ func BenchmarkInboxIngest(b *testing.B) {
 // BenchmarkKernelChurn (K4) measures membership churn under load: the
 // concurrent kernel serves nApps working apps (telemetry producers and
 // all, as in K2) while a churn goroutine live-attaches and detaches an
-// extra app every few epochs — each change rolls the membership epoch
-// and rebuilds the loop topology at an epoch boundary. ns/op is the
-// per-epoch wall time including that churn tax; the K4 ≤ K2 bench-gate
-// requirement bounds it.
+// extra app every few epochs — each change bumps the membership epoch
+// and is patched into the running loops at an epoch boundary (rebuilt
+// only where the extra app moves the loop count across 2·GOMAXPROCS).
+// ns/op is the per-epoch wall time including that churn tax; the
+// K4 ≤ K2 bench-gate requirement bounds it.
 func BenchmarkKernelChurn(b *testing.B) {
 	const producerBatch = 10
 	for _, nApps := range []int{8, 64} {
@@ -843,8 +844,8 @@ func benchKernelBackends(nApps, nBackends int) (*kernelrt.Kernel, []*kernelrt.In
 // churnPlacement is K7's migration-churn driver: a static round-robin
 // partition whose first app roams — every stride epochs the policy
 // requests a placement refresh and moves app 0 to the next backend, so
-// each period pays one full migration (generation roll, drain,
-// topology rebuild).
+// each period pays one migration (a placement refresh patched in at a
+// quiescent epoch boundary).
 type churnPlacement struct {
 	stride     int64
 	epochCount atomic.Int64
@@ -876,7 +877,7 @@ func (p *churnPlacement) Place(apps []kernelrt.AppPlacement, view []kernelrt.Bac
 // measured ~1.04x is the 1-vCPU class's per-sample noise (see ci.yml);
 // backends=2/4 record the partitioned scaling, env-dependent. The
 // migrate case adds a forced migration every 8 epochs on 2 backends —
-// each one a generation roll with drain — and its ns/op is the
+// each one patched in at a quiescent epoch boundary — and its ns/op is the
 // migration churn tax (gated same-run ≤1.5x of backends=2, the K4
 // convention).
 func BenchmarkKernelPlacement(b *testing.B) {
@@ -1049,11 +1050,10 @@ func BenchmarkBackendEvacuation(b *testing.B) {
 					return
 				}
 				cycles.Add(1)
-				// ~50 lifecycle cycles/s: each remove+re-add is two full
-				// generation rolls (topology rebuild); unpaced, the
-				// churner alone saturates
-				// the roll path and the measurement stops being
-				// steady-state-epochs-under-churn.
+				// ~50 lifecycle cycles/s: each remove+re-add is several
+				// membership patches (drain, removal, addition); unpaced,
+				// the churner alone saturates the patch path and the
+				// measurement stops being steady-state-epochs-under-churn.
 				time.Sleep(20 * time.Millisecond)
 			}
 		}()

@@ -275,6 +275,6 @@ func main() {
 		}
 	}
 	stats := kernel.ManagerStats()
-	log.Printf("antarex-serve: stopped after %d epochs (%d early), %.1f GFLOP done, %.1f J, membership epoch %d",
-		kernel.Epochs(), kernel.EarlyEpochs(), stats.WorkGFlop, stats.EnergyJ, kernel.Generation())
+	log.Printf("antarex-serve: stopped after %d epochs (%d early), %.1f GFLOP done, %.1f J, membership epoch %d, %d rebuilds",
+		kernel.Epochs(), kernel.EarlyEpochs(), stats.WorkGFlop, stats.EnergyJ, kernel.Generation(), kernel.Rebuilds())
 }

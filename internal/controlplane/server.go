@@ -1155,5 +1155,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Epochs:           k.Epochs(),
 		Generation:       k.Generation(),
 		ServedGeneration: k.ServedGeneration(),
+		Rebuilds:         k.Rebuilds(),
 	})
 }

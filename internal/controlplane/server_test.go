@@ -114,9 +114,10 @@ func TestServerLifecycle(t *testing.T) {
 	if err := c.Detach("healthy"); err != nil {
 		t.Fatal(err)
 	}
+	// 2 → 1 apps also changes the loop count: a rebuild, not a patch.
 	waitFor(t, "membership served after detach", func() bool {
 		h, err := c.Health()
-		return err == nil && h.Generation == h.ServedGeneration && h.Apps == 1
+		return err == nil && h.Generation == h.ServedGeneration && h.Apps == 1 && h.Rebuilds >= 1
 	})
 	if _, err := c.App("healthy"); !IsNotFound(err) {
 		t.Errorf("detached app lookup: %v, want 404", err)

@@ -309,6 +309,9 @@ type Health struct {
 	Epochs           int64  `json:"epochs"`
 	Generation       int64  `json:"generation"`
 	ServedGeneration int64  `json:"served_generation"`
+	// Rebuilds counts loop-topology rebuilds since the kernel started
+	// (runtime.Kernel.Rebuilds); other membership changes are patched in.
+	Rebuilds int64 `json:"rebuilds"`
 }
 
 // Error codes carried in the error envelope. They partition the HTTP

@@ -14,7 +14,7 @@ import (
 
 // This file is the backend failure domain: per-backend health driven by
 // panic recovery and commit deadlines, drain/remove lifecycle with
-// evacuation at generation boundaries, and the no-healthy-backends
+// evacuation at patch boundaries, and the no-healthy-backends
 // policy the executor applies when every slot is out. The design
 // follows the non-threaded CCP argument the rest of the kernel is built
 // on — failures are detected event-driven on the epoch path itself
@@ -35,8 +35,8 @@ var (
 	// no schedulable slot to evacuate onto.
 	ErrLastBackend = errors.New("cannot drain the last schedulable backend")
 	// ErrNoHealthyBackends: an epoch batch was written off because no
-	// backend could take it (FailFast policy, or a generation wind-down
-	// during a total outage).
+	// backend could take it (FailFast policy, or Stop during a total
+	// outage).
 	ErrNoHealthyBackends = errors.New("no healthy backends")
 )
 
@@ -117,10 +117,9 @@ type NoHealthyPolicy int32
 
 const (
 	// ParkAndRetry (the default) parks the batch and retries with
-	// capped exponential backoff until a backend heals or the serving
-	// generation winds down; a parked batch commits the moment a
-	// backend is revived, so a total outage delays work instead of
-	// dropping it.
+	// capped exponential backoff until a backend heals (or is added) or
+	// the kernel stops; a parked batch commits once a backend is
+	// revived, so a total outage delays work instead of dropping it.
 	ParkAndRetry NoHealthyPolicy = iota
 	// FailFast writes the batch off immediately: the contributing apps
 	// get ErrNoHealthyBackends on their status and the epoch moves on.
@@ -140,8 +139,9 @@ func (p NoHealthyPolicy) String() string {
 // SetNoHealthyPolicy configures the no-healthy-backends behavior.
 // Takes effect on the next epoch batch. Note that under ParkAndRetry a
 // synchronous RunEpoch with every backend down blocks until a
-// ReviveBackend heals one — the concurrent mode additionally unparks
-// on generation wind-down (Stop, membership change).
+// ReviveBackend heals one (or AddBackend brings a healthy one) — the
+// concurrent mode additionally unparks on Stop, never on a membership
+// change.
 func (k *Kernel) SetNoHealthyPolicy(p NoHealthyPolicy) { k.noHealthy.Store(int32(p)) }
 
 // SetBackendTimeout arms the per-commit deadline: a backend epoch
@@ -225,9 +225,9 @@ func (k *Kernel) emitBackendEvent(bs *backendSlot, reason string) {
 }
 
 // setBackendHealth moves a slot's health under k.mu, records the
-// reason, and — when the slot is live — rolls a generation so the
-// placement refresh evacuates (or, on heal, re-admits) its apps at the
-// next epoch boundary.
+// reason, and — when the slot is live — bumps the membership epoch so
+// the patch's placement refresh evacuates (or, on heal, re-admits) its
+// apps at the next epoch boundary.
 func (k *Kernel) setBackendHealth(bs *backendSlot, h BackendHealth, reason string) {
 	k.mu.Lock()
 	if BackendHealth(bs.health.Load()) == h {
@@ -324,12 +324,13 @@ func (k *Kernel) HealthyBackends() int {
 
 // DrainBackend evacuates every app placed on the named backend onto the
 // remaining schedulable slots and retires the slot. The evacuation is
-// the same generation-boundary placement move live migration uses
-// (PR 5): the drain rolls a generation, the refresh re-places the apps
-// (their assignments stop resolving to the draining slot), and the roll
-// itself drains in-flight batches — zero observation loss, no work on
-// two backends at once. Blocks until the evacuation has landed and any
-// abandoned commit on the slot has returned. Idempotent once drained;
+// the same epoch-boundary placement move live migration uses: the
+// drain bumps the membership epoch, and the patch at the next
+// quiescent boundary re-places the apps (their assignments stop
+// resolving to the draining slot) after every in-flight batch has
+// run — zero observation loss, no work on two backends at once.
+// Blocks until the evacuation has landed and any abandoned commit on
+// the slot has returned. Idempotent once drained;
 // a concurrent drain of the same backend gets ErrBackendDraining, and
 // draining the last schedulable backend is refused (ErrLastBackend).
 func (k *Kernel) DrainBackend(name string) error {
@@ -380,7 +381,7 @@ func (k *Kernel) RemoveBackendAsync(name string) (<-chan struct{}, error) {
 
 // admitDrain is the drain admission check: resolve the name, refuse
 // concurrent drains and last-backend drains, mark the slot draining and
-// roll the generation. done=true means the slot was already drained
+// bump the membership epoch. done=true means the slot was already drained
 // (idempotent path). The generation returned is the one whose serving
 // proves the evacuation landed.
 func (k *Kernel) admitDrain(name string) (bs *backendSlot, gen int64, done bool, err error) {
@@ -441,8 +442,8 @@ func (k *Kernel) completeDrain(bs *backendSlot, gen int64) {
 			break
 		}
 		if k.servedGen.Load() >= gen {
-			// The generation rolled: the old engine quiesced and the new
-			// placement (without this slot) is live.
+			// Served at a quiescent boundary: the new placement (without
+			// this slot) is live.
 			break
 		}
 		time.Sleep(200 * time.Microsecond)
@@ -500,7 +501,7 @@ type EpochStager interface {
 // commit executes one backend epoch under the backend's commit mutex
 // with panic containment: a panicking backend becomes a Failed slot
 // with the panic recorded on its stats (and its apps evacuated by the
-// health roll), never a dead kernel. The stats republish and the
+// health change), never a dead kernel. The stats republish and the
 // sequence bump happen only on success, so readers never see a
 // panicked epoch's partial state. ok=false means the commit panicked;
 // the report is then void.
@@ -591,33 +592,34 @@ func (k *Kernel) commitBounded(bs *backendSlot, dt float64, tasks []*simhpc.Task
 	}
 }
 
-// awaitSchedulable resolves the executor's fallback backend. With a
-// schedulable slot available it returns immediately; with none it
-// applies the no-healthy-backends policy: FailFast gives up at once,
+// awaitSchedulable resolves the executor's fallback backend when the
+// epoch's backend view bks has no schedulable slot, by the
+// no-healthy-backends policy: FailFast gives up at once (-1);
 // ParkAndRetry polls with capped exponential backoff until a slot heals
 // or ctx (the serving generation's context; nil under the sync driver)
 // ends — with one final look after cancellation, so a revive racing the
-// wind-down still lands the batch.
-func (k *Kernel) awaitSchedulable(ctx context.Context, bks []*backendSlot) (int, bool) {
-	if i := firstSchedulable(bks); i >= 0 {
-		return i, true
-	}
+// wind-down still lands the batch. Membership changes do not end ctx:
+// they wait for the parked epoch at their patch boundary. Each poll
+// re-reads the kernel's backend set, so a backend added during the
+// outage takes the batch too; the view returned is the one to route
+// over (AddBackend only appends, so placed indices stay valid).
+func (k *Kernel) awaitSchedulable(ctx context.Context, bks []*backendSlot) ([]*backendSlot, int) {
 	if NoHealthyPolicy(k.noHealthy.Load()) == FailFast {
-		return -1, false
+		return bks, -1
 	}
 	const maxBackoff = 50 * time.Millisecond
 	backoff := 500 * time.Microsecond
 	for {
-		if ctx != nil && ctx.Err() != nil {
-			i := firstSchedulable(bks)
-			return i, i >= 0
+		done := ctx != nil && ctx.Err() != nil
+		k.mu.Lock()
+		bks = k.backends
+		k.mu.Unlock()
+		if i := firstSchedulable(bks); i >= 0 || done {
+			return bks, i
 		}
 		time.Sleep(backoff)
 		if backoff *= 2; backoff > maxBackoff {
 			backoff = maxBackoff
-		}
-		if i := firstSchedulable(bks); i >= 0 {
-			return i, true
 		}
 	}
 }

@@ -67,23 +67,20 @@ var (
 //     manager alone.
 //
 // Membership is dynamic: Attach and Detach work while the kernel is
-// running. Every membership change bumps the membership epoch (a
-// generation counter); the concurrent mode serves one generation at a
-// time and rolls to the next at an epoch boundary — in-flight batches
-// are drained into a final epoch, the loop topology is rebuilt for the
-// new app set (re-sharding when the count crosses 2·GOMAXPROCS), and
-// only then do the new generation's loops start. So a newly attached
-// app is admitted at the next epoch boundary, and a detaching app's
-// already-submitted batch is never dropped.
+// running. Every membership change bumps the membership epoch; the
+// concurrent mode patches it into the running loop topology at the
+// next quiescent epoch boundary (patch.go), so a newly attached app is
+// admitted there and a detaching app's already-submitted batch is never
+// dropped. Only a change of the loop count (re-sharding when the app
+// count crosses 2·GOMAXPROCS) rebuilds the topology: a new generation.
 //
 // The epoch path is allocation-free in steady state: the per-backend
 // task lists and fan-out buffers are kernel-owned scratch reused across
 // epochs, and the serial section every app waits on covers only the
 // backend epochs themselves, each under its backend's commit mutex.
 // Merging, ticking and workload materialization all happen outside
-// it. A membership change allocates (new shards, channels,
-// goroutines), but that cost is paid once per generation, not per
-// epoch.
+// it. A patch allocates little (a placement view, a channel); a rebuild
+// allocates shards and goroutines.
 type Kernel struct {
 	mu         sync.Mutex // guards apps, byName, backends, byBackend, placement, placeGen, running, cancel, memGen, memChanged, detachedTotals, pendingRetire
 	apps       []*Controller
@@ -96,7 +93,7 @@ type Kernel struct {
 	cancel     context.CancelFunc
 	wg         sync.WaitGroup
 	memGen     int64         // membership epoch: bumped by every Attach/Detach/AddBackend
-	memChanged chan struct{} // closed on membership change; re-armed per generation
+	memChanged chan struct{} // closed on membership change; re-armed per snapshot
 
 	servedGen atomic.Int64 // generation the concurrent loops currently serve
 
@@ -175,6 +172,7 @@ type Kernel struct {
 	topoGMP    atomic.Int32
 	topoShards atomic.Int32
 	topoDrift  atomic.Bool
+	rebuilds   atomic.Int64 // topologies built since Start, minus the first
 
 	// Early wake (pacer.go): the serving generation's pacer — nil unless
 	// it is paced (Options.Interval > 0) — and the honoured-nudge count.
@@ -269,7 +267,7 @@ func NewKernel(backends ...Backend) *Kernel {
 
 // AddBackend registers another backend under name. Adding while the
 // kernel is running is allowed: the backend joins the routing set at
-// the next epoch boundary (a membership-generation roll, like Attach),
+// the next epoch boundary (a membership patch, like Attach),
 // at which point the placement policy may start assigning apps to it.
 // The inverse is RemoveBackend (drain + delete); a removed backend's
 // name is reusable here.
@@ -494,9 +492,9 @@ func (k *Kernel) BackendStats() []BackendStats {
 
 // Attach registers an application and returns its Controller (for
 // direct metric pushes and adaptation counters). Attaching while the
-// kernel is running is allowed: the app is admitted at the next epoch
-// boundary, when the current generation's loops roll over (watch
-// ServedGeneration to observe admission).
+// kernel is running is allowed: the app is patched into the running
+// loops at the next quiescent epoch boundary (watch ServedGeneration to
+// observe admission).
 func (k *Kernel) Attach(spec AppSpec) (*Controller, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("runtime: attach: %w", ErrEmptyAppName)
@@ -515,10 +513,10 @@ func (k *Kernel) Attach(spec AppSpec) (*Controller, error) {
 }
 
 // Detach removes an application by name. Detaching while the kernel is
-// running is allowed: the app's control loop stops at the next epoch
-// boundary, and a batch it already submitted is drained into the
-// generation's final epoch rather than dropped. Cumulative totals for
-// the app are retained.
+// running is allowed: the app leaves the loops at the next quiescent
+// epoch boundary — after the epoch carrying any batch it already
+// submitted has run, so that batch is never dropped. Cumulative totals
+// for the app are retained.
 func (k *Kernel) Detach(name string) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -549,11 +547,10 @@ func (k *Kernel) Detach(name string) error {
 // knob) without detaching it: observations keep flowing, totals and
 // adaptation counters are retained, and the detach-drain guarantee is
 // untouched because membership does not change. The swap itself is
-// serialized against the app's tick by the controller; bumping the
-// membership generation afterwards rolls the epoch engine so the new
-// policy's first decision lands at a generation boundary, the same
-// place attach/detach and placement changes land. Returns the previous
-// policy so the caller can release its resources.
+// serialized against the app's tick by the controller; the membership
+// epoch it bumps is served at the next quiescent epoch boundary, the
+// same place attach/detach and placement changes land. Returns the
+// previous policy so the caller can release its resources.
 func (k *Kernel) SwapPolicy(name string, p Policy, kb Knob) (Policy, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -566,19 +563,24 @@ func (k *Kernel) SwapPolicy(name string, p Policy, kb Knob) (Policy, error) {
 	return old, nil
 }
 
-// membershipChangedLocked bumps the membership epoch and wakes the
-// supervisor. Callers hold k.mu.
+// membershipChangedLocked bumps the membership epoch for the loops to
+// patch in at their next round, or the idle supervisor to serve. Only a
+// change needing a rebuild rings a paced plane's shards (DESIGN.md, "The
+// membership epoch", pacing). Callers hold k.mu.
 func (k *Kernel) membershipChangedLocked() {
 	k.memGen++
 	if k.memChanged != nil {
 		close(k.memChanged)
 		k.memChanged = nil
 	}
+	if p := k.pacer.Load(); p != nil && k.rebuildDueLocked(int(k.topoShards.Load())) {
+		p.ring()
+	}
 }
 
-// requestPlacementRefresh rolls a placement generation with an
-// unchanged app set — how a steering policy's migration lands at an
-// epoch boundary, exactly like a membership change.
+// requestPlacementRefresh bumps the membership epoch with an unchanged
+// app set — how a steering policy's migration lands at an epoch
+// boundary, exactly like a membership change.
 func (k *Kernel) requestPlacementRefresh() {
 	k.mu.Lock()
 	k.membershipChangedLocked()
@@ -587,18 +589,17 @@ func (k *Kernel) requestPlacementRefresh() {
 
 // refreshPlacementLocked recomputes app→backend assignments when the
 // membership epoch moved past the last placement. Callers hold k.mu;
-// the epoch engine is quiescent (the supervisor refreshes between
-// generations, the sync driver before its epoch), so assignment writes
-// cannot tear an in-flight epoch.
+// the epoch engine is quiescent (epochViewLocked's callers), so
+// assignment writes cannot tear an in-flight epoch.
 // The placement policy only ever sees the schedulable backends:
 // draining, drained, removed, Degraded and Failed slots are excluded
 // from the view, and an app currently on an unschedulable slot appears
 // with Current == -1 — forcing the policy (or the clamp) to evacuate
 // it. That is the whole evacuation mechanism: a health or lifecycle
-// transition rolls a generation, and this refresh re-places the
-// affected apps exactly like a live migration. With no schedulable
-// backend at all, assignments are left as they are; the executor
-// applies the no-healthy-backends policy instead.
+// transition bumps the membership epoch, and the patch's refresh
+// re-places the affected apps exactly like a live migration. With no
+// schedulable backend at all, assignments are left as they are; the
+// executor applies the no-healthy-backends policy instead.
 func (k *Kernel) refreshPlacementLocked() {
 	if k.placeGen == k.memGen {
 		return
@@ -683,13 +684,13 @@ func (k *Kernel) backendLoads(bks []*backendSlot) []BackendLoad {
 }
 
 // EpochSignal subscribes to epoch completions: the returned channel
-// receives a coalesced wakeup after every kernel epoch — and after a
+// receives a coalesced wakeup after every kernel epoch, after every
+// membership patch (ServedGeneration moved) — and after a
 // deadline-abandoned backend commit finally lands, so a late backend
 // finishing after the global epoch counter already moved still wakes
-// subscribers (buffered one deep — a slow consumer sees
-// one pending signal, not a backlog). cancel releases the
-// subscription. With no subscribers the epoch path pays a single
-// atomic load. Consumers that must distinguish which backend moved
+// subscribers (buffered one deep — a slow consumer sees one pending
+// signal, not a backlog). cancel releases the subscription. With no
+// subscribers the epoch path pays a single atomic load. Consumers that must distinguish which backend moved
 // key on BackendStats.Seq rather than the global epoch counter.
 func (k *Kernel) EpochSignal() (ch <-chan struct{}, cancel func()) {
 	c := make(chan struct{}, 1)
@@ -746,7 +747,7 @@ func (k *Kernel) Running() bool {
 
 // Generation returns the membership epoch: the number of Attach/Detach
 // calls accepted so far. It advances immediately on a membership
-// change, before the concurrent loops have rolled over to the new set.
+// change, before the concurrent loops have patched in the new set.
 func (k *Kernel) Generation() int64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -846,9 +847,20 @@ func (k *Kernel) execute(dt float64, contribs []contribution) EpochResult {
 // any lock, and the commit locks cover only the backend epochs
 // themselves. Afterwards the per-backend load telemetry feeds the
 // placement policy, and an EpochObserver policy may request the
-// generation roll that migrates an app.
+// placement refresh that migrates an app.
 func (k *Kernel) routeAndCommit(dt float64, contribs []contribution) EpochResult {
+	// Resolve the fallback target before merging: every contribution
+	// whose placed backend is unschedulable (failed, degraded, draining,
+	// not yet placed) reroutes here. With no schedulable backend at all
+	// the no-healthy policy decides between parking (awaitSchedulable)
+	// and writing the batch off — either way the merge below runs first,
+	// because the offered totals are accounted per contribution exactly
+	// once, always.
 	bks := k.epochBackends
+	fallback := firstSchedulable(bks)
+	if fallback < 0 {
+		bks, fallback = k.awaitSchedulable(k.parkCtx, bks)
+	}
 	sole := len(bks) == 1
 	// PerApp escapes to OnEpoch observers and RunEpoch callers, who may
 	// hold it across epochs, so it is the one per-epoch allocation that
@@ -858,16 +870,6 @@ func (k *Kernel) routeAndCommit(dt float64, contribs []contribution) EpochResult
 		bs.tasks = bs.tasks[:0]
 		bs.active = false
 		bs.committed = false
-	}
-	// Resolve the fallback target before merging: every contribution
-	// whose placed backend is unschedulable (failed, degraded, draining,
-	// mid-roll) reroutes here. With no schedulable backend at all the
-	// no-healthy policy decides between parking and writing the batch
-	// off — either way the merge below runs first, because the offered
-	// totals are accounted per contribution exactly once, always.
-	fallback := firstSchedulable(bks)
-	if fallback < 0 {
-		fallback, _ = k.awaitSchedulable(k.parkCtx, bks)
 	}
 	for _, c := range contribs {
 		sum := 0.0
@@ -881,7 +883,7 @@ func (k *Kernel) routeAndCommit(dt float64, contribs []contribution) EpochResult
 		}
 		idx := int(c.ctl.backend.Load())
 		if idx < 0 || idx >= len(bks) || !bks[idx].schedulable() {
-			idx = fallback // unplaced mid-roll or unhealthy target: reroute
+			idx = fallback // unplaced or unhealthy target: reroute
 		}
 		bs := bks[idx]
 		bs.active = true
@@ -973,11 +975,19 @@ func (k *Kernel) routeAndCommit(dt float64, contribs []contribution) EpochResult
 // batches. The handoff channel is unbuffered, so a send completing
 // proves the executor is done reading the previous epoch's
 // contribution buffer (the epoch ran) and it is free for reuse — the
-// scheduler double-buffers on that guarantee.
-func (k *Kernel) executor(execCh <-chan []contribution, dt float64, wg *sync.WaitGroup) {
+// scheduler double-buffers on that guarantee. A receive from idle
+// completes only between epochs (the patch boundary waits on it).
+func (k *Kernel) executor(execCh <-chan []contribution, idle chan<- struct{}, dt float64, wg *sync.WaitGroup) {
 	defer wg.Done()
-	for contribs := range execCh {
-		k.execute(dt, contribs)
+	for {
+		select {
+		case contribs, ok := <-execCh:
+			if !ok {
+				return
+			}
+			k.execute(dt, contribs)
+		case idle <- struct{}{}:
+		}
 	}
 }
 
@@ -1004,17 +1014,11 @@ func (k *Kernel) RunEpoch(dt float64) (EpochResult, error) {
 		k.mu.Unlock()
 		return EpochResult{}, fmt.Errorf("runtime: RunEpoch: %w", ErrNoBackends)
 	}
-	k.foldRetiredLocked()
-	k.refreshPlacementLocked()
+	k.epochViewLocked()
 	// Safe to share the slice headers: Attach/AddBackend only append,
 	// and Detach replaces the app slice (copy-on-write) instead of
 	// rewriting elements.
 	apps := k.apps
-	k.epochBackends = k.backends
-	k.epochObserver = nil
-	if len(k.backends) > 1 {
-		k.epochObserver, _ = k.placement.(EpochObserver)
-	}
 	// Sync parks (no healthy backends under ParkAndRetry) have no
 	// generation context to watch — they wait for a revive alone.
 	k.parkCtx = nil
@@ -1178,10 +1182,10 @@ func (sh *shard) tick(k *Kernel) {
 }
 
 // Start launches the concurrent kernel: a supervisor goroutine that
-// serves the attached app set one membership generation at a time —
-// sharded control-loop workers, the batched epoch scheduler and the
-// epoch executor per generation — and rebuilds the loop topology
-// whenever Attach or Detach changes membership. Starting with zero
+// serves the attached app set one loop topology (generation) at a time
+// — sharded control-loop workers, the batched epoch scheduler and the
+// epoch executor — patching membership changes into it and rebuilding
+// it only when the loop count must change. Starting with zero
 // apps is allowed: the supervisor idles until the first Attach. Start
 // returns immediately; the loops run until ctx is cancelled or Stop is
 // called. Call Stop even after an external ctx cancellation — it reaps
@@ -1196,9 +1200,9 @@ func (sh *shard) tick(k *Kernel) {
 // are no other loops, so a blocked Workload blocks all epochs until
 // it returns — callers with blocking workloads on single-core hosts
 // should keep them non-blocking or bound them themselves. A membership
-// change also waits for in-flight Workload calls to return before the
-// new generation starts (the drain guarantee), so a stalled workload
-// delays admission of newly attached apps.
+// change also waits for in-flight Workload calls to return before it is
+// patched in (the boundary needs every loop quiescent), so a stalled
+// workload delays admission of newly attached apps.
 func (k *Kernel) Start(ctx context.Context, opts Options) error {
 	opts = opts.withDefaults()
 	k.mu.Lock()
@@ -1212,6 +1216,7 @@ func (k *Kernel) Start(ctx context.Context, opts Options) error {
 	k.errMu.Lock()
 	k.err = nil // previous runs' workload errors do not outlive a restart
 	k.errMu.Unlock()
+	k.rebuilds.Store(0)
 	ctx, cancel := context.WithCancel(ctx)
 	k.cancel = cancel
 	k.running = true
@@ -1220,31 +1225,15 @@ func (k *Kernel) Start(ctx context.Context, opts Options) error {
 	return nil
 }
 
-// supervise is the generation loop: snapshot membership, serve it until
-// it changes (or ctx ends), repeat. The snapshot and the change-signal
-// channel are installed under one lock acquisition, so a membership
-// change is either visible in the snapshot or closes the channel —
-// never silently missed.
+// supervise is the generation loop: snapshot membership (the previous
+// generation has quiesced), build a loop topology and serve it until it
+// must change (or ctx ends), repeat.
 func (k *Kernel) supervise(ctx context.Context, opts Options) {
 	defer k.wg.Done()
-	for {
+	for built := false; ; {
 		k.mu.Lock()
-		k.foldRetiredLocked()
-		k.refreshPlacementLocked()
-		apps := k.apps
-		bks := k.backends
-		var obs EpochObserver
-		if len(bks) > 1 {
-			obs, _ = k.placement.(EpochObserver)
-		}
-		gen := k.memGen
-		changed := make(chan struct{})
-		k.memChanged = changed
+		apps, gen, changed := k.snapshotLocked()
 		k.mu.Unlock()
-		// Safe plain writes: the previous generation's epoch executor is
-		// fully quiesced before the supervisor loops back here.
-		k.epochBackends = bks
-		k.epochObserver = obs
 		k.servedGen.Store(gen)
 		if ctx.Err() != nil {
 			return
@@ -1258,6 +1247,10 @@ func (k *Kernel) supervise(ctx context.Context, opts Options) {
 				continue
 			}
 		}
+		if built {
+			k.rebuilds.Add(1)
+		}
+		built = true
 		k.serveGeneration(ctx, changed, apps, opts)
 		if ctx.Err() != nil {
 			return
@@ -1265,9 +1258,10 @@ func (k *Kernel) supervise(ctx context.Context, opts Options) {
 	}
 }
 
-// serveGeneration runs the concurrent epoch machinery over one fixed
-// app set until membership changes or ctx ends, then winds it down:
-// loops park at their next ctx check, the scheduler drains every
+// serveGeneration builds the loop topology for apps and runs the
+// concurrent epoch machinery on it until a loop finds a change the
+// topology cannot absorb (patch) or ctx ends, then winds it down: loops
+// park at their next ctx check, the scheduler drains every
 // already-submitted batch into a final epoch (no accepted work is
 // dropped — the detach-drain guarantee), and the executor finishes.
 // Only after the generation is fully quiesced does the supervisor move
@@ -1276,9 +1270,8 @@ func (k *Kernel) supervise(ctx context.Context, opts Options) {
 func (k *Kernel) serveGeneration(ctx context.Context, changed <-chan struct{}, apps []*Controller, opts Options) {
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Parked epoch batches (no healthy backends) unpark when this
-	// generation winds down, so a roll or Stop never hangs on an
-	// outage. Safe plain write: the previous generation quiesced.
+	// Parked epoch batches (no healthy backends) unpark only when the
+	// generation ends. Safe plain write: the previous one quiesced.
 	k.parkCtx = gctx
 
 	// Per-app loops while they are affordable (strongest straggler
@@ -1286,53 +1279,39 @@ func (k *Kernel) serveGeneration(ctx context.Context, changed <-chan struct{}, a
 	// would make per-app wakeups the epoch's critical path. The
 	// GOMAXPROCS read is per generation, and the loops watch for drift
 	// (maybeReshape), so a live GOMAXPROCS change re-shapes the
-	// topology at the next roll instead of serving it stale.
+	// topology at the next boundary instead of serving it stale.
 	gmp := goruntime.GOMAXPROCS(0)
-	nShards := len(apps)
-	if maxLoops := 2 * gmp; nShards > maxLoops {
-		nShards = gmp
-	}
+	t := &topology{shards: make([]*shard, loopShards(len(apps), gmp)), changed: changed, cancel: cancel}
 	k.topoGMP.Store(int32(gmp))
-	k.topoShards.Store(int32(nShards))
+	k.topoShards.Store(int32(len(t.shards)))
 	k.topoDrift.Store(false)
-	shards := make([]*shard, nShards)
-	for i := range shards {
-		shards[i] = &shard{park: make(chan struct{}, 1)}
+	for i := range t.shards {
+		t.shards[i] = &shard{park: make(chan struct{}, 1)}
 	}
-	for i, ctl := range apps {
-		sh := shards[i%nShards]
-		sh.apps = append(sh.apps, ctl)
-	}
-	for _, sh := range shards {
-		sh.contribs = make([]contribution, 0, len(sh.apps))
-	}
+	dealApps(t.shards, apps)
 	if opts.Interval > 0 {
-		k.pacer.Store(newPacer(opts.Interval, shards))
+		k.pacer.Store(newPacer(opts.Interval, t.shards))
 		defer k.pacer.Store(nil)
 	}
 
+	// Count every loop first: an early Stop sends the scheduler to Wait.
 	var loopsWG, genWG sync.WaitGroup
-	if nShards == 1 {
+	loopsWG.Add(len(t.shards))
+	if len(t.shards) == 1 {
 		// One worker covers every app (single-core host, or a single
 		// app): kept apart from the sharded topology by measurement —
 		// see singleLoop.
-		loopsWG.Add(1)
-		go k.singleLoop(gctx, shards[0], opts, &loopsWG)
+		go k.singleLoop(gctx, t, opts, &loopsWG)
 	} else {
 		hub := newWakeHub()
 		genWG.Add(1)
-		go k.scheduler(gctx, opts, len(apps), hub, &loopsWG, &genWG)
-		for _, sh := range shards {
-			loopsWG.Add(1)
+		go k.scheduler(gctx, opts, t, len(apps), hub, &loopsWG, &genWG)
+		for _, sh := range t.shards {
 			go k.shardLoop(gctx, sh, opts, hub, &loopsWG)
 		}
 	}
 
-	select {
-	case <-ctx.Done():
-	case <-changed:
-	}
-	cancel()
+	<-gctx.Done()
 	loopsWG.Wait()
 	genWG.Wait()
 }
@@ -1342,29 +1321,34 @@ func (k *Kernel) serveGeneration(ctx context.Context, changed <-chan struct{}, a
 // executor with the hand-offs removed, and stays because they measure:
 // at GOMAXPROCS=1, K2 apps=1 runs 8.0 µs/epoch here against 9.4 µs
 // through the sharded machinery, faster in 17 of 20 alternating pairs
-// (EXPERIMENTS.md, "singleLoop vs one shardLoop (PR 22)").
-func (k *Kernel) singleLoop(ctx context.Context, sh *shard, opts Options, wg *sync.WaitGroup) {
+// (EXPERIMENTS.md, "singleLoop vs one shardLoop (PR 22)"). Its first
+// round, like shardLoop's, runs even in a generation winding down.
+func (k *Kernel) singleLoop(ctx context.Context, t *topology, opts Options, wg *sync.WaitGroup) {
 	defer wg.Done()
+	sh := t.shards[0]
 	for rounds := 0; ; rounds++ {
-		if ctx.Err() != nil {
-			return
-		}
 		if rounds&63 == 63 {
-			// A live GOMAXPROCS raise deserves real shard loops; roll
-			// the generation when the topology has gone stale.
+			// A live GOMAXPROCS raise deserves real shard loops; rebuild
+			// the topology when it has gone stale.
 			k.maybeReshape()
 		}
 		sh.tick(k)
 		k.execute(opts.EpochDt, sh.contribs)
-		if opts.Interval > 0 {
-			if !sh.pause(ctx, opts.Interval) {
+		if t.changePending() {
+			if _, ok := k.patch(t); !ok {
 				return
 			}
+		}
+		if opts.Interval > 0 {
+			sh.pause(ctx, opts.Interval)
 		} else {
 			// Unpaced epochs on a single P would otherwise starve the
 			// telemetry producers until async preemption kicks in; the
 			// epoch boundary is the fair point to let them run.
 			goruntime.Gosched()
+		}
+		if ctx.Err() != nil {
+			return
 		}
 	}
 }
@@ -1395,13 +1379,11 @@ func (k *Kernel) Stop() {
 // runs, the shard's next round of ticks overlaps it. (Ticking ahead of
 // acceptance was tried and measured slower: with the epoch barrier the
 // slowest shard sets the pace, and eager next-round ticks steal cores
-// from the current round's stragglers.)
+// from the current round's stragglers.) The first round runs even in a
+// generation already winding down: every generation ticks every app.
 func (k *Kernel) shardLoop(ctx context.Context, sh *shard, opts Options, hub *wakeHub, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
-		if ctx.Err() != nil {
-			return
-		}
 		sh.tick(k)
 		// The submission never blocks — it is a lock-free push — even
 		// during generation wind-down, which is what guarantees a parked
@@ -1411,7 +1393,10 @@ func (k *Kernel) shardLoop(ctx context.Context, sh *shard, opts Options, hub *wa
 		if !k.waitAccepted(ctx, sh) {
 			return
 		}
-		if opts.Interval > 0 && !sh.pause(ctx, opts.Interval) {
+		if opts.Interval > 0 {
+			sh.pause(ctx, opts.Interval)
+		}
+		if ctx.Err() != nil {
 			return
 		}
 	}
@@ -1432,20 +1417,24 @@ func (k *Kernel) shardLoop(ctx context.Context, sh *shard, opts Options, hub *wa
 // blocks until the first finishes, which also guarantees the epoch's
 // double-buffered contribution slices are never written while read.
 //
-// On wind-down (ctx cancelled — membership change or Stop) the
+// A full batch while a membership change is pending is the patch
+// boundary (patch.go). While a change waits, Flush expiry cuts no
+// partial batch, so stragglers cannot starve the patch.
+//
+// On wind-down (ctx cancelled — a topology change or Stop) the
 // scheduler waits for the shard loops to park, drains any batches
 // still queued on the submit stack, and executes one final epoch over
 // them, so work an app already handed over is never dropped.
-func (k *Kernel) scheduler(ctx context.Context, opts Options, nApps int, hub *wakeHub, loopsWG, wg *sync.WaitGroup) {
+func (k *Kernel) scheduler(ctx context.Context, opts Options, t *topology, nApps int, hub *wakeHub, loopsWG, wg *sync.WaitGroup) {
 	defer wg.Done()
 	// An epoch can never contain two batches from one shard: each shard
 	// loop waits for its acceptance — published only at flush — before
 	// submitting again.
 	var pending []*shard
 	pendingApps := 0
-	execCh := make(chan []contribution)
+	execCh, execIdle := make(chan []contribution), make(chan struct{})
 	wg.Add(1)
-	go k.executor(execCh, opts.EpochDt, wg)
+	go k.executor(execCh, execIdle, opts.EpochDt, wg)
 	defer close(execCh)
 	// Two merge buffers: while the executor reads one, the scheduler
 	// merges the next epoch into the other.
@@ -1482,8 +1471,9 @@ func (k *Kernel) scheduler(ctx context.Context, opts Options, nApps int, hub *wa
 			sh = next
 		}
 	}
-	// flush merges the pending batches, releases their shards, and hands
-	// the epoch to the executor. The send is unconditional: the executor
+	// flush merges the pending batches, releases their shards (after the
+	// patch at a boundary, before the handoff otherwise) and hands the
+	// epoch to the executor. The send is unconditional: the executor
 	// consumes until execCh closes and never blocks on anything but the
 	// manager epoch itself, so the send waits at most one epoch — and an
 	// accepted batch is executed even when ctx is already cancelled.
@@ -1495,15 +1485,25 @@ func (k *Kernel) scheduler(ctx context.Context, opts Options, nApps int, hub *wa
 		clear(contribs[len(contribs):cap(contribs)]) // no stale task pointers in the tail
 		buffers[cur] = contribs
 		cur = 1 - cur
-		k.releaseShards(pending)
-		clear(pending)
-		pending = pending[:0]
-		pendingApps = 0
+		boundary := pendingApps >= nApps && ctx.Err() == nil && t.changePending()
+		if !boundary {
+			k.releaseShards(pending)
+		}
 		disarm()
 		if flushes++; flushes&63 == 0 {
 			k.maybeReshape() // cheap periodic GOMAXPROCS drift check
 		}
 		execCh <- contribs
+		if boundary {
+			<-execIdle // the epoch has run; every shard is still parked
+			if n, ok := k.patch(t); ok {
+				nApps = n
+				k.releaseShards(pending)
+			}
+		}
+		clear(pending)
+		pending = pending[:0]
+		pendingApps = 0
 	}
 	// drain is the wind-down path: once the shard loops have parked,
 	// whatever they already submitted (received or still queued) joins
@@ -1526,7 +1526,7 @@ func (k *Kernel) scheduler(ctx context.Context, opts Options, nApps int, hub *wa
 		case <-timer.C:
 			armed = false
 			k.maybeReshape() // paced loops flush by timer; check here too
-			if len(pending) > 0 {
+			if len(pending) > 0 && !t.changePending() {
 				flush()
 			}
 			continue

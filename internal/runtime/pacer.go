@@ -57,6 +57,13 @@ func (k *Kernel) Nudge() {
 		return
 	}
 	k.earlyEpochs.Add(1)
+	p.ring()
+}
+
+// ring cuts every shard loop's pacing sleep short — a honoured nudge,
+// or a membership change that needs a topology rebuild. A bell already
+// rung stays rung.
+func (p *pacer) ring() {
 	for _, bell := range p.bells {
 		select {
 		case bell <- struct{}{}:
@@ -69,8 +76,8 @@ func (k *Kernel) Nudge() {
 func (k *Kernel) EarlyEpochs() int64 { return k.earlyEpochs.Load() }
 
 // pause is a paced loop's sleep between rounds: d, cut short by the
-// shard's bell. It reports false when ctx ended.
-func (sh *shard) pause(ctx context.Context, d time.Duration) bool {
+// shard's bell or by ctx ending.
+func (sh *shard) pause(ctx context.Context, d time.Duration) {
 	sh.timer.Reset(d)
 	select {
 	case <-sh.timer.C:
@@ -82,7 +89,5 @@ func (sh *shard) pause(ctx context.Context, d time.Duration) bool {
 		sh.timer.Stop()
 	case <-ctx.Done():
 		sh.timer.Stop()
-		return false
 	}
-	return true
 }

@@ -14,6 +14,15 @@ import (
 // until cond holds.
 func waitEpoch(t *testing.T, k *Kernel, what string, cond func() bool) {
 	t.Helper()
+	if !awaitEpoch(k, cond) {
+		t.Fatalf("timed out waiting for %s (epochs %d, early %d)", what, k.Epochs(), k.EarlyEpochs())
+	}
+}
+
+// awaitEpoch is waitEpoch for goroutines other than the test's: it
+// blocks on the epoch signal (a membership patch rings it too) until
+// cond holds, and reports a timeout instead of failing the test itself.
+func awaitEpoch(k *Kernel, cond func() bool) bool {
 	sig, cancel := k.EpochSignal()
 	defer cancel()
 	timeout := time.After(10 * time.Second)
@@ -21,9 +30,10 @@ func waitEpoch(t *testing.T, k *Kernel, what string, cond func() bool) {
 		select {
 		case <-sig:
 		case <-timeout:
-			t.Fatalf("timed out waiting for %s (epochs %d, early %d)", what, k.Epochs(), k.EarlyEpochs())
+			return false
 		}
 	}
+	return true
 }
 
 // TestPacedAdmitRule pins the limiter on injected clock readings: at most
@@ -129,34 +139,64 @@ func TestNudgeSingleLoop(t *testing.T) {
 
 // TestNudgeShardedAndAcrossRoll: the sharded topology wakes every shard
 // — all apps keep equal tick counts, the fairness the saturation
-// benchmark guards — and a generation roll installs a fresh pacer whose
-// first nudge is honoured although the old one's interval has not run
-// out.
+// benchmark guards. An attach that keeps the loop count is patched in at
+// the next round's boundary (here the nudged one: a patch rings no bell)
+// and the late app ticks exactly once in every round after it, in step
+// with the rest. A detach that changes the loop count rings the old
+// shards to their boundary; the rebuilt topology's first round ticks
+// every app, and its fresh pacer honours its first nudge although the
+// old one's interval has not run out.
 func TestNudgeShardedAndAcrossRoll(t *testing.T) {
 	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(4))
 	k, ctls := pacedKernel(t, 9)
 	if got := k.LoopShards(); got != 4 {
 		t.Fatalf("LoopShards() = %d, want 4 shard loops", got)
 	}
+	// 10 apps keep 4 shard loops: a patch.
+	late, err := k.Attach(AppSpec{Name: "late"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := k.Generation()
 	nudgeRunsOneEpoch(t, k, ctls)
 	for _, ctl := range ctls {
 		if ctl.Ticks() != ctls[0].Ticks() {
 			t.Errorf("%s at %d ticks, %s at %d: shards fell out of phase", ctl.Name(), ctl.Ticks(), ctls[0].Name(), ctls[0].Ticks())
 		}
 	}
-
-	epochs := k.Epochs()
-	late, err := k.Attach(AppSpec{Name: "late"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitEpoch(t, k, "the new generation's first epoch", func() bool {
-		return k.ServedGeneration() >= k.Generation() && k.Epochs() > epochs
+	waitEpoch(t, k, "the attach patched in at the nudged round's boundary", func() bool {
+		return k.ServedGeneration() >= gen
 	})
-	if got := late.Ticks(); got != 1 {
-		t.Fatalf("late app at %d ticks after the roll, want 1", got)
+	if got := late.Ticks(); got != 0 {
+		t.Fatalf("late app at %d ticks before the first round after its admission, want 0", got)
 	}
-	nudgeRunsOneEpoch(t, k, append(ctls, late))
+
+	// 8 apps fit 2·GOMAXPROCS: one loop per app, a new topology. The
+	// first detach is a patch; the second needs the rebuild and rings.
+	epochs, ticks := k.Epochs(), ctls[0].Ticks()
+	for _, name := range []string{"app8", "app7"} {
+		if err := k.Detach(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctls = append(ctls[:7], late)
+	waitEpoch(t, k, "the new generation's first epoch", func() bool {
+		return k.Rebuilds() == 1 && k.Epochs() >= epochs+2
+	})
+	if got := k.LoopShards(); got != 8 {
+		t.Fatalf("LoopShards() = %d after the rebuild, want 8", got)
+	}
+	// One round rung to the old topology's boundary — the late app's
+	// first since its admission — and the new topology's first round.
+	for _, ctl := range ctls[:7] {
+		if got := ctl.Ticks(); got != ticks+2 {
+			t.Errorf("%s at %d ticks after the rebuild, want %d", ctl.Name(), got, ticks+2)
+		}
+	}
+	if got := late.Ticks(); got != 2 {
+		t.Errorf("late app at %d ticks after the rebuild, want 2: one per round since its admission", got)
+	}
+	nudgeRunsOneEpoch(t, k, ctls)
 }
 
 // TestNudgeNoOp: without a paced generation being served there is

@@ -50,14 +50,14 @@ type BackendLoad struct {
 
 // Placement routes applications onto backends. Place is called with
 // the full app set whenever placement must be (re)computed — at every
-// membership generation roll in concurrent mode, and lazily before a
-// synchronous epoch — and returns one backend index per app, in order.
+// membership patch in concurrent mode, and lazily before a synchronous
+// epoch — and returns one backend index per app, in order.
 // Out-of-range indices are clamped to the app's current backend (or
 // backend 0). Place runs under the kernel's membership lock: it must
 // not call back into the Kernel.
 //
-// An assignment holds for the whole generation: migrations land at
-// generation boundaries only, with in-flight batches drained first, so
+// An assignment holds until the next patch: migrations land at
+// quiescent epoch boundaries only, after in-flight batches have run, so
 // an app never has epoch batches in flight on two backends at once.
 type Placement interface {
 	Place(apps []AppPlacement, backends []BackendLoad) []int
@@ -65,8 +65,8 @@ type Placement interface {
 
 // EpochObserver is an optional Placement extension. When the kernel
 // runs ≥ 2 backends, ObserveEpoch is called after every epoch with the
-// fresh per-backend loads; returning true asks the kernel to roll a
-// placement generation (a membership-epoch bump with an unchanged app
+// fresh per-backend loads; returning true asks the kernel for a
+// placement refresh (a membership-epoch bump with an unchanged app
 // set), at which point Place runs again and may migrate apps.
 // ObserveEpoch calls are serialized by the epoch engine but may run
 // concurrently with Place; stateful observers must lock.
@@ -191,8 +191,8 @@ func (LeastLoaded) Place(apps []AppPlacement, backends []BackendLoad) []int {
 // BackendLoad.DeferredFrac) stays above MaxDeferredFrac for Patience
 // consecutive epochs is over its goal, and at the next placement
 // refresh one unpinned app is migrated from it to the healthiest
-// backend. ObserveEpoch requests that refresh, so the migration rolls
-// in at a membership generation boundary — in-flight batches drain
+// backend. ObserveEpoch requests that refresh, so the migration is
+// patched in at a quiescent epoch boundary — in-flight batches run
 // first, and the app's controller (inbox, windows, counters) moves
 // wholesale, dropping nothing. Cooldown epochs must pass between
 // migrations, bounding steering churn.

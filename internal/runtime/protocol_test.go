@@ -391,7 +391,8 @@ func TestEpochSignalPerBackendCommit(t *testing.T) {
 // TestProtocolMembershipChurnRace is the membership -race stress: four
 // churners attach/detach pinned and unhinted apps against a 2-backend
 // kernel while telemetry flows and a status reader snapshots — every
-// attach and detach rolls a generation, the quiesce/migration path.
+// attach and detach is patched in at the quiescent boundary, the
+// migration path.
 func TestProtocolMembershipChurnRace(t *testing.T) {
 	t.Run("barrier", func(t *testing.T) {
 		k := NewKernel(testManagerAt(2, 15), testManagerAt(2, 15))

@@ -142,12 +142,13 @@ func (k *Kernel) WakeOps() int64 { return k.wakeOps.Load() }
 // live GOMAXPROCS change.
 func (k *Kernel) LoopShards() int { return int(k.topoShards.Load()) }
 
-// maybeReshape rolls the serving generation once when GOMAXPROCS has
+// maybeReshape flags a topology rebuild once when GOMAXPROCS has
 // drifted from the value the topology was shaped for (live
-// runtime.GOMAXPROCS call or cgroup resize). Called from the epoch
-// loops at low frequency — GOMAXPROCS(0) takes the scheduler lock, so
-// it must not run per epoch. The CAS bounds it to one roll per
-// generation; the new generation re-reads GOMAXPROCS and re-shapes
+// runtime.GOMAXPROCS call or cgroup resize); the next patch boundary
+// then ends the generation instead of patching it. Called from the
+// epoch loops at low frequency — GOMAXPROCS(0) takes the scheduler
+// lock, so it must not run per epoch. The CAS bounds it to one request
+// per generation; the new generation re-reads GOMAXPROCS and re-shapes
 // shards, workers and commit fan-out.
 func (k *Kernel) maybeReshape() {
 	if int32(goruntime.GOMAXPROCS(0)) != k.topoGMP.Load() && k.topoDrift.CompareAndSwap(false, true) {
