@@ -64,6 +64,27 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// TestPercentileNaN: a NaN rank is not a position in the window, so it
+// reads NaN (empty or not) instead of indexing with int(NaN).
+func TestPercentileNaN(t *testing.T) {
+	w := NewWindow(4)
+	if p := w.Percentile(math.NaN()); !math.IsNaN(p) {
+		t.Errorf("empty window: p(NaN) = %v", p)
+	}
+	for _, v := range []float64{3, 1, 2} {
+		w.Push(v)
+	}
+	if p := w.Percentile(math.NaN()); !math.IsNaN(p) {
+		t.Errorf("p(NaN) = %v", p)
+	}
+	if p := w.Percentile(-5); p != 1 {
+		t.Errorf("p(-5) = %v, want the minimum", p)
+	}
+	if p := w.Percentile(250); p != 3 {
+		t.Errorf("p(250) = %v, want the maximum", p)
+	}
+}
+
 // Property: windowed mean equals direct mean of the last `size` samples.
 func TestWindowMeanProperty(t *testing.T) {
 	f := func(raw []float64, szRaw uint8) bool {

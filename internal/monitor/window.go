@@ -19,9 +19,11 @@ import (
 )
 
 // Window is a fixed-capacity sliding window of float64 samples with O(1)
-// push and O(1) mean/variance queries (incremental sums) plus
-// percentile queries on demand. It is safe for concurrent use: many
-// producer goroutines may Push while the control loop snapshots.
+// push and O(1) mean/variance queries (incremental sums). Percentile,
+// Min and Max scan (and Percentile sorts) on demand; Snapshot memoizes
+// its Summary until the next Push or Reset, so an unchanged window
+// answers in O(1). It is safe for concurrent use: many producer
+// goroutines may Push while the control loop snapshots.
 type Window struct {
 	mu    sync.Mutex
 	buf   []float64
@@ -33,6 +35,12 @@ type Window struct {
 	total int64 // lifetime samples
 
 	scratch []float64 // percentile sort buffer, reused under mu
+
+	// memo is the last Snapshot, valid while fresh. Push and Reset are
+	// the only writers of the state a Summary is computed from, and each
+	// clears fresh under mu.
+	memo  Summary
+	fresh bool
 }
 
 // NewWindow returns a window holding the last size samples.
@@ -59,6 +67,7 @@ func (w *Window) Push(v float64) {
 	w.sum += v
 	w.sumSq += v * v
 	w.total++
+	w.fresh = false
 }
 
 // Len returns the number of live samples.
@@ -155,8 +164,13 @@ func (w *Window) max() float64 {
 	return m
 }
 
-// Percentile returns the p-th percentile (p in [0,100]) of the window.
+// Percentile returns the p-th percentile (p in [0,100]) of the window,
+// linearly interpolated between ranks; p outside [0,100] reads as the
+// nearer bound, an empty window reads 0, and a NaN p returns NaN.
 func (w *Window) Percentile(p float64) float64 {
+	if math.IsNaN(p) {
+		return p
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.percentile(p)
@@ -196,6 +210,7 @@ func (w *Window) Reset() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.head, w.count, w.sum, w.sumSq = 0, 0, 0, 0
+	w.fresh = false
 }
 
 // Summary is a point-in-time statistical snapshot.
@@ -210,17 +225,23 @@ type Summary struct {
 
 // Snapshot computes a Summary of the window under one lock acquisition,
 // so the statistics are mutually consistent even under concurrent Push.
+// A window with no Push or Reset since the last Snapshot returns the
+// same Summary from a memo, without rescanning or re-sorting.
 func (w *Window) Snapshot() Summary {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return Summary{
-		Count:  w.count,
-		Mean:   w.mean(),
-		StdDev: math.Sqrt(w.variance()),
-		Min:    w.min(),
-		Max:    w.max(),
-		P95:    w.percentile(95),
+	if !w.fresh {
+		w.memo = Summary{
+			Count:  w.count,
+			Mean:   w.mean(),
+			StdDev: math.Sqrt(w.variance()),
+			Min:    w.min(),
+			Max:    w.max(),
+			P95:    w.percentile(95),
+		}
+		w.fresh = true
 	}
+	return w.memo
 }
 
 // String renders the summary compactly.

@@ -17,7 +17,11 @@ import (
 // The tick path is allocation-free in steady state: sensor samples are
 // drained straight into cached window handles (no per-sample map
 // lookup), and the summary map handed to SLA.Check and Policy.Decide is
-// scratch reused across ticks.
+// scratch reused across ticks. Analysing costs O(windows changed): a
+// window with no sample since the last tick answers from its Snapshot
+// memo, so a quiet app's tick neither rescans nor re-sorts. The trigger
+// still observes one check per tick, quiet or not — Debounce counts
+// ticks, not samples.
 type Controller struct {
 	spec    AppSpec
 	metrics *monitor.Set

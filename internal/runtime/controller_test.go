@@ -53,6 +53,36 @@ func TestControllerAdaptsOnSustainedViolation(t *testing.T) {
 	}
 }
 
+// TestControllerDebounceCountsQuietTicks: a window that violates its goal
+// and then receives nothing more still counts one violating check per
+// tick — the debounce counts ticks, not samples — so it fires on the
+// third tick, and the reset after firing leaves it quiet.
+func TestControllerDebounceCountsQuietTicks(t *testing.T) {
+	decides := 0
+	c := NewController(AppSpec{
+		Name: "quiet",
+		SLA: monitor.SLA{Goals: []monitor.Goal{
+			{Metric: monitor.MetricLatency, Relation: monitor.AtMost, Target: 1.0},
+		}},
+		Window:   4,
+		Debounce: 3,
+		Policy: PolicyFunc(func(monitor.Decision, map[string]monitor.Summary) (autotune.Config, bool) {
+			decides++
+			return autotune.Config{"knob": 1}, true
+		}),
+	})
+	c.Push(monitor.MetricLatency, 2.0)
+	for tick := 1; tick <= 6; tick++ {
+		d := c.Tick()
+		if want := tick == 3; d.Adapt != want {
+			t.Fatalf("tick %d: Adapt = %v, want %v", tick, d.Adapt, want)
+		}
+	}
+	if c.Fires() != 1 || decides != 1 || c.Adaptations() != 1 {
+		t.Errorf("fires=%d decides=%d adaptations=%d, want 1 each", c.Fires(), decides, c.Adaptations())
+	}
+}
+
 // TestControllerPolicyDecline: a fire whose policy declines (nothing
 // better known) still resets windows but does not count as adaptation.
 func TestControllerPolicyDecline(t *testing.T) {

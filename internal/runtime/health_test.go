@@ -346,7 +346,7 @@ var appPanicCases = []appPanicCase{
 // Holds with -race.
 func TestAppPanicQuarantined(t *testing.T) {
 	for _, tc := range appPanicCases {
-		t.Run("barrier/"+tc.name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			k := NewKernel(testManager(2), testManager(2))
 			var arm atomic.Bool
 			victim, err := k.Attach(tc.spec(&arm, simhpc.NewWorkloadGen(5)))
