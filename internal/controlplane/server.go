@@ -484,6 +484,14 @@ func (s *Server) kernelSpec(ra *remoteApp, pol runtime.Policy, knob runtime.Knob
 	if w.MemGB <= 0 {
 		w.MemGB = w.GFlop / 8
 	}
+	// The tasks are a pure function of the level, so the closure memoizes
+	// the last slice and rebuilds only when the level changes. A returned
+	// slice is never written again (runtime.Workload's contract): a level
+	// change builds a new one, so the pipelined executor or an abandoned
+	// commit may keep reading the old. The kernel never runs one app's
+	// Workload twice at once, so the memo needs no lock.
+	var memo []*simhpc.Task
+	var memoBits uint64
 	return runtime.AppSpec{
 		Name:     ra.spec.Name,
 		SLA:      ra.sla,
@@ -494,14 +502,15 @@ func (s *Server) kernelSpec(ra *remoteApp, pol runtime.Policy, knob runtime.Knob
 		Policy:   pol,
 		Knob:     knob,
 		Workload: func() ([]*simhpc.Task, error) {
-			// Fresh tasks every call: the pipelined executor may still
-			// be reading the previous epoch's slice.
 			lvl := ra.level()
-			tasks := make([]*simhpc.Task, w.Tasks)
-			for i := range tasks {
-				tasks[i] = &simhpc.Task{GFlop: w.GFlop * lvl, MemGB: w.MemGB * lvl, Tag: ra.spec.Name}
+			if bits := math.Float64bits(lvl); memo == nil || bits != memoBits {
+				tasks := make([]*simhpc.Task, w.Tasks)
+				for i := range tasks {
+					tasks[i] = &simhpc.Task{GFlop: w.GFlop * lvl, MemGB: w.MemGB * lvl, Tag: ra.spec.Name}
+				}
+				memo, memoBits = tasks, bits
 			}
-			return tasks, nil
+			return memo, nil
 		},
 	}
 }

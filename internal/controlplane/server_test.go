@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -367,5 +368,57 @@ func TestServerConcurrentIngress(t *testing.T) {
 	}
 	if st0.Samples+st1.Samples != 4*40*2 {
 		t.Errorf("accepted samples %d+%d, want %d", st0.Samples, st1.Samples, 4*40*2)
+	}
+}
+
+// TestServingEpochAllocsFlat: a served epoch allocates O(1), not
+// O(tenants). A quiet ladder tenant's workload closure hands back its
+// memoized tasks while its level holds, and an unobserved concurrent
+// epoch builds no PerApp map — so heap objects and bytes per kernel
+// epoch at 1024 tenants stay within a small constant of the 16-tenant
+// plane's. A closure that rebuilds its tasks costs five objects per
+// tenant per epoch; a PerApp map built with no reader, tens of KB.
+func TestServingEpochAllocsFlat(t *testing.T) {
+	perEpoch := func(n int) (objs, bytes float64) {
+		k := runtime.NewKernel(BuildBackend(BackendSpec{Name: "b0", Nodes: 4}))
+		if err := k.AddBackend("b1", BuildBackend(BackendSpec{Name: "b1", Nodes: 4})); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(NewServer(k))
+		defer srv.Close()
+		c := NewClient(srv.URL, srv.Client())
+		for i := 0; i < n; i++ {
+			if _, err := c.Register(AppSpec{
+				Name:      fmt.Sprintf("t%d", i),
+				Placement: fmt.Sprintf("b%d", i%2),
+				Goals:     []GoalSpec{{Metric: monitor.MetricLatency, Target: 1}},
+				Workload:  WorkloadSpec{Tasks: 4, GFlop: 2},
+				Policy:    &PolicySpec{Type: PolicyLadder, Levels: []float64{1, 0.5}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := k.Start(context.Background(), runtime.Options{}); err != nil { // unpaced
+			t.Fatal(err)
+		}
+		defer k.Stop()
+		waitFor(t, "warm-up epochs", func() bool { return k.Epochs() >= 20 })
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		e0 := k.Epochs()
+		waitFor(t, "measured epochs", func() bool { return k.Epochs() >= e0+100 })
+		goruntime.ReadMemStats(&after)
+		epochs := float64(k.Epochs() - e0)
+		return float64(after.Mallocs-before.Mallocs) / epochs, float64(after.TotalAlloc-before.TotalAlloc) / epochs
+	}
+	smallObjs, smallBytes := perEpoch(16)
+	bigObjs, bigBytes := perEpoch(1024)
+	t.Logf("per epoch: 16 tenants %.1f objects / %.0f B; 1024 tenants %.1f objects / %.0f B",
+		smallObjs, smallBytes, bigObjs, bigBytes)
+	if bigObjs > smallObjs+32 {
+		t.Errorf("1024 tenants allocate %.1f objects per epoch, 16 tenants %.1f: want within 32", bigObjs, smallObjs)
+	}
+	if bigBytes > smallBytes+4096 {
+		t.Errorf("1024 tenants allocate %.0f B per epoch, 16 tenants %.0f B: want within 4 KiB", bigBytes, smallBytes)
 	}
 }

@@ -94,6 +94,12 @@ type VMPolicy struct {
 	scratch   map[string]float64
 	hold      bool
 
+	// refGlobals[i] is prog.Refs[i]'s global name; readKnobs pairs each
+	// read knob with its global. Both are built once in newVMPolicy, so
+	// marshalling a decision builds no strings.
+	refGlobals []string
+	readKnobs  [][2]string
+
 	// Execution counters. decide() runs serialized (under mu, or on
 	// the isolated worker goroutine), so plain load-then-store updates
 	// are safe; atomics let Metrics read without taking mu — a status
@@ -115,6 +121,14 @@ func newVMPolicy(p *Program, opts Options) *VMPolicy {
 		vm:        ir.NewVM(mod),
 		knobValue: opts.KnobValue,
 		scratch:   make(map[string]float64, 2),
+	}
+	for _, ref := range p.Refs {
+		vp.refGlobals = append(vp.refGlobals, ref.global())
+	}
+	for _, k := range p.Knobs {
+		if !k.Write {
+			vp.readKnobs = append(vp.readKnobs, [2]string{"k:" + k.Name, k.Name})
+		}
 	}
 	vp.args = make([]ir.Value, len(p.Inputs))
 	for i, name := range p.Inputs {
@@ -209,7 +223,7 @@ func (vp *VMPolicy) marshalIn(d monitor.Decision, sums map[string]monitor.Summar
 	if vp.prog.ReadsViolation {
 		g["in:violation"] = ir.NumValue(d.Violation)
 	}
-	for _, ref := range vp.prog.Refs {
+	for i, ref := range vp.prog.Refs {
 		s := sums[ref.Metric] // missing metric reads as a zero summary
 		var v float64
 		switch ref.Stat {
@@ -226,12 +240,10 @@ func (vp *VMPolicy) marshalIn(d monitor.Decision, sums map[string]monitor.Summar
 		case "p95":
 			v = s.P95
 		}
-		g[ref.global()] = ir.NumValue(v)
+		g[vp.refGlobals[i]] = ir.NumValue(v)
 	}
-	for _, k := range vp.prog.Knobs {
-		if !k.Write {
-			g["k:"+k.Name] = ir.NumValue(vp.readKnob(k.Name))
-		}
+	for _, k := range vp.readKnobs {
+		g[k[0]] = ir.NumValue(vp.readKnob(k[1]))
 	}
 }
 

@@ -428,3 +428,57 @@ func TestProgramReuseAcrossInstances(t *testing.T) {
 		t.Fatalf("instances share state: %v %v", ca, cb)
 	}
 }
+
+// TestDecideMarshalAllocs: marshalling a decision's inputs builds no
+// strings — the metric-ref and read-knob global names are precomputed
+// in New — so it allocates nothing, and Decide's whole cost is the VM
+// call plus the returned Config. hot is the saturate_1k benchmark's hot
+// DSL program; hotKnob adds a bare-name knob read.
+func TestDecideMarshalAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		decide    float64 // Decide's allocation budget: the VM call and the Config
+	}{
+		{"hot", `
+aspectdef Hot
+	input gain end
+	apply
+		do Set('level', gain + latency.max - latency.mean);
+	end
+	condition violation > 0 end
+end
+`, 4},
+		{"hotKnob", `
+aspectdef HotKnob
+	input gain end
+	apply
+		do Set('level', level + gain + latency.max - latency.mean);
+	end
+	condition violation > 0 end
+end
+`, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pol, err := New(compileOK(t, c.src), Options{
+				Params:    map[string]float64{"gain": 0.5},
+				KnobValue: func(string) float64 { return 2 },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pol.Close()
+			vp := pol.(*VMPolicy)
+			d := monitor.Decision{Adapt: true, Violation: 0.5}
+			sums := map[string]monitor.Summary{"latency": {Count: 8, Mean: 0.25, Max: 3}}
+			if cfg, ok := pol.Decide(d, sums); !ok || cfg["level"] <= 0 {
+				t.Fatalf("decide = %v %v", cfg, ok)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { vp.marshalIn(d, sums) }); allocs != 0 {
+				t.Errorf("marshalIn allocates %.1f objects, want 0", allocs)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { pol.Decide(d, sums) }); allocs > c.decide {
+				t.Errorf("Decide allocates %.1f objects, want <= %.0f", allocs, c.decide)
+			}
+		})
+	}
+}

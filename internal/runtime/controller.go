@@ -26,6 +26,10 @@ type Controller struct {
 	spec    AppSpec
 	metrics *monitor.Set
 	trigger *monitor.Trigger
+	// reasons caches each SLA goal's String(), built once at
+	// NewController (spec.SLA is never reassigned), so a firing tick
+	// formats nothing.
+	reasons []string
 
 	tickMu  sync.Mutex
 	sums    map[string]monitor.Summary // analyse scratch, under tickMu
@@ -126,6 +130,9 @@ func NewController(spec AppSpec) *Controller {
 		sums:    make(map[string]monitor.Summary),
 		handles: make(map[string]*monitor.Window),
 	}
+	for _, g := range spec.SLA.Goals {
+		c.reasons = append(c.reasons, g.String())
+	}
 	c.drainFn = c.pushCached // bind once so Tick never allocates a closure
 	c.backend.Store(-1)      // unplaced until the kernel's first refresh
 	return c
@@ -191,7 +198,7 @@ func (c *Controller) Tick() monitor.Decision {
 	d.Adapt = true
 	d.Violation = violation
 	if goalIdx >= 0 {
-		d.Reason = c.spec.SLA.Goals[goalIdx].String()
+		d.Reason = c.reasons[goalIdx]
 	}
 	c.fires.Add(1)
 

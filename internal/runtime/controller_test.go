@@ -183,3 +183,30 @@ func TestTunerPolicy(t *testing.T) {
 		t.Errorf("policy under drift: %v %v", cfg, ok)
 	}
 }
+
+// TestControllerFiringTickAllocs: a firing tick formats no reason — the
+// goal strings are built once at NewController — so with a nil policy
+// the whole firing path allocates nothing, and Reason is still exactly
+// the violated goal's String().
+func TestControllerFiringTickAllocs(t *testing.T) {
+	goals := []monitor.Goal{
+		{Metric: monitor.MetricThroughput, Relation: monitor.AtLeast, Target: 0.5},
+		{Metric: monitor.MetricLatency, Stat: "p95", Relation: monitor.AtMost, Target: 1.25},
+	}
+	c := NewController(AppSpec{Name: "fire", SLA: monitor.SLA{Goals: goals}, Window: 4, Debounce: 1})
+	fire := func() monitor.Decision {
+		c.Push(monitor.MetricThroughput, 1)
+		c.Push(monitor.MetricLatency, 5)
+		return c.Tick()
+	}
+	if d := fire(); !d.Adapt || d.Reason != goals[1].String() {
+		t.Fatalf("decision %+v, want a fire with reason %q", d, goals[1].String())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !fire().Adapt {
+			t.Fatal("tick did not fire")
+		}
+	}); allocs != 0 {
+		t.Errorf("firing tick allocates %.1f objects, want 0", allocs)
+	}
+}

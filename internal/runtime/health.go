@@ -556,11 +556,20 @@ func (k *Kernel) commitBounded(bs *backendSlot, dt float64, tasks []*simhpc.Task
 	// The commit goroutine can outlive this call (abandonment), while
 	// the epoch engine recycles its batch scratch across epochs — so the
 	// goroutine gets its own copy of the slice, never the caller's
-	// buffer. Task objects themselves are epoch-fresh, not recycled.
-	batch := make([]*simhpc.Task, len(tasks))
-	copy(batch, tasks)
+	// buffer. The copy lands in the slot's spare buffer, which the
+	// goroutine returns once its commit is done; while another commit
+	// holds the spare, the copy is fresh. Tasks are immutable once a
+	// Workload returns them, so only the slice needs copying.
+	bp := bs.spare.Swap(nil)
+	if bp == nil {
+		bp = new([]*simhpc.Task)
+	}
+	batch := append((*bp)[:0], tasks...)
 	go func() {
 		r, cok := k.commit(bs, dt, batch, workers)
+		clear(batch)
+		*bp = batch[:0]
+		bs.spare.Store(bp)
 		if claimed.CompareAndSwap(false, true) {
 			bs.inflight.Add(-1)
 			res <- commitResult{r, cok}

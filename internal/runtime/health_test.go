@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -583,4 +584,87 @@ func TestTotalsExactUnderBackendFailure(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWorkloadSliceReusedAcrossEpochs pins the Workload contract's
+// second half — a returned slice may be returned again. Every app hands
+// back one shared slice every epoch while b0's commit is parked past
+// the deadline, so the abandoned commit reads the slice (through its
+// batch copy) while later epochs route the same tasks to b1. Under
+// -race any write to a task or a returned slice is a report; the
+// ledger must equal epochs × slice GFlop bit for bit, and the slice
+// must come out as it went in.
+func TestWorkloadSliceReusedAcrossEpochs(t *testing.T) {
+	shared := []*simhpc.Task{
+		{ID: 1, GFlop: 1.5, MemGB: 0.25, Tag: "shared"},
+		{ID: 2, GFlop: 2.25, MemGB: 0.5, Tag: "shared"},
+		{ID: 3, GFlop: 0.1, MemGB: 0.125, Tag: "shared"},
+	}
+	want := make([]simhpc.Task, len(shared))
+	sliceG := 0.0
+	for i, task := range shared {
+		want[i] = *task
+		sliceG += task.GFlop
+	}
+	wantPtrs := append([]*simhpc.Task(nil), shared...)
+
+	// gatedKernel's pinned pair never ticks: it makes way for four apps
+	// sharing one slice.
+	k, gated, open := gatedKernel(t)
+	defer open()
+	for _, name := range []string{"app0", "app1"} {
+		if err := k.Detach(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const nApps = 4
+	var calls [nApps]atomic.Int64
+	for i := 0; i < nApps; i++ {
+		if _, err := k.Attach(AppSpec{
+			Name:    fmt.Sprintf("app%d", i),
+			Backend: fmt.Sprintf("b%d", i%2),
+			Workload: func() ([]*simhpc.Task, error) {
+				calls[i].Add(1)
+				return shared, nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.SetBackendTimeout(5 * time.Millisecond)
+	if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	defer k.Stop()
+	waitFor(t, "warm-up epochs", func() bool { return k.Epochs() >= 5 })
+
+	gated.armed.Store(true)
+	<-gated.entered // b0's commit is parked inside RunEpoch
+	waitHealth(t, k, "b0", BackendDegraded)
+	e0 := k.Epochs()
+	waitFor(t, "epochs past the abandoned commit", func() bool { return k.Epochs() >= e0+10 })
+	open() // the abandoned commit now reads its batch beside live epochs
+	waitHealth(t, k, "b0", BackendHealthy)
+	e1 := k.Epochs()
+	waitFor(t, "epochs after the heal", func() bool { return k.Epochs() >= e1+10 })
+	k.Stop()
+	if err := k.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	totals := k.TotalsPerApp()
+	for i := range calls {
+		exp := 0.0
+		for n := calls[i].Load(); n > 0; n-- {
+			exp += sliceG
+		}
+		if name := fmt.Sprintf("app%d", i); totals[name] != exp {
+			t.Errorf("%s: ledger %v, want %d epochs × %v = %v", name, totals[name], calls[i].Load(), sliceG, exp)
+		}
+	}
+	for i, task := range shared {
+		if task != wantPtrs[i] || !reflect.DeepEqual(*task, want[i]) {
+			t.Errorf("shared[%d] = %p %+v, want %p %+v (unchanged)", i, task, *task, wantPtrs[i], want[i])
+		}
+	}
 }

@@ -214,6 +214,9 @@ type backendSlot struct {
 	tasks  []*simhpc.Task
 	report rtrm.EpochReport
 	active bool
+	// spare is the batch buffer a deadline-guarded commit copies tasks
+	// into (commitBounded); nil while a commit holds it.
+	spare atomic.Pointer[[]*simhpc.Task]
 
 	// Placement telemetry, under Kernel.loadMu; see BackendLoad.
 	offered      float64
@@ -826,9 +829,16 @@ type contribution struct {
 // concurrent loop and the per-generation executor; its callers are
 // serialized (see the scratch-field comment). OnEpoch callbacks run
 // here: on the caller's goroutine in sync mode, on the kernel's
-// epoch-executor goroutine in concurrent mode.
-func (k *Kernel) execute(dt float64, contribs []contribution) EpochResult {
-	res := k.routeAndCommit(dt, contribs)
+// epoch-executor goroutine in concurrent mode. The result's PerApp map
+// is built only when something reads it — the synchronous RunEpoch
+// caller or a contributor with OnEpoch — so an unobserved concurrent
+// epoch does not allocate one.
+func (k *Kernel) execute(dt float64, contribs []contribution, returned bool) EpochResult {
+	observed := returned
+	for _, c := range contribs {
+		observed = observed || c.ctl.spec.OnEpoch != nil
+	}
+	res := k.routeAndCommit(dt, contribs, observed)
 	for _, c := range contribs {
 		if c.ctl.spec.OnEpoch != nil {
 			c.ctl.spec.OnEpoch(res)
@@ -848,7 +858,7 @@ func (k *Kernel) execute(dt float64, contribs []contribution) EpochResult {
 // themselves. Afterwards the per-backend load telemetry feeds the
 // placement policy, and an EpochObserver policy may request the
 // placement refresh that migrates an app.
-func (k *Kernel) routeAndCommit(dt float64, contribs []contribution) EpochResult {
+func (k *Kernel) routeAndCommit(dt float64, contribs []contribution, observed bool) EpochResult {
 	// Resolve the fallback target before merging: every contribution
 	// whose placed backend is unschedulable (failed, degraded, draining,
 	// not yet placed) reroutes here. With no schedulable backend at all
@@ -863,9 +873,12 @@ func (k *Kernel) routeAndCommit(dt float64, contribs []contribution) EpochResult
 	}
 	sole := len(bks) == 1
 	// PerApp escapes to OnEpoch observers and RunEpoch callers, who may
-	// hold it across epochs, so it is the one per-epoch allocation that
-	// cannot come from scratch.
-	perApp := make(map[string]float64, len(contribs))
+	// hold it across epochs, so it cannot come from scratch; with no
+	// observer it is not built at all.
+	var perApp map[string]float64
+	if observed {
+		perApp = make(map[string]float64, len(contribs))
+	}
 	for _, bs := range bks {
 		bs.tasks = bs.tasks[:0]
 		bs.active = false
@@ -876,7 +889,9 @@ func (k *Kernel) routeAndCommit(dt float64, contribs []contribution) EpochResult
 		for _, t := range c.tasks {
 			sum += t.GFlop
 		}
-		perApp[c.ctl.Name()] += sum // every contributor appears, even with zero work
+		if observed {
+			perApp[c.ctl.Name()] += sum // every contributor appears, even with zero work
+		}
 		c.ctl.addTotal(sum)
 		if fallback < 0 {
 			continue // write-off epoch: account, don't route
@@ -985,7 +1000,7 @@ func (k *Kernel) executor(execCh <-chan []contribution, idle chan<- struct{}, dt
 			if !ok {
 				return
 			}
-			k.execute(dt, contribs)
+			k.execute(dt, contribs, false)
 		case idle <- struct{}{}:
 		}
 	}
@@ -1095,7 +1110,7 @@ func (k *Kernel) RunEpoch(dt float64) (EpochResult, error) {
 	for i := len(live); i < n; i++ {
 		contribs[i] = contribution{}
 	}
-	return k.execute(dt, live), nil
+	return k.execute(dt, live, true), nil
 }
 
 // workload materializes the controller's epoch tasks (nil Workload → no
@@ -1333,7 +1348,7 @@ func (k *Kernel) singleLoop(ctx context.Context, t *topology, opts Options, wg *
 			k.maybeReshape()
 		}
 		sh.tick(k)
-		k.execute(opts.EpochDt, sh.contribs)
+		k.execute(opts.EpochDt, sh.contribs, false)
 		if t.changePending() {
 			if _, ok := k.patch(t); !ok {
 				return

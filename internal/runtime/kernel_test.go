@@ -522,3 +522,56 @@ func TestKernelSyncEpochAllocs(t *testing.T) {
 		t.Errorf("sync epoch allocates %.0f objects for %d apps, want <= 24", allocs, nApps)
 	}
 }
+
+// TestOnEpochSeesPerApp: a concurrent epoch builds PerApp only when it
+// has a reader, and one app's OnEpoch is a reader — every call it gets
+// lists every contributor with its offered GFlop, the apps without an
+// OnEpoch included. Flush is long, so no epoch before Stop cuts a
+// partial batch.
+func TestOnEpochSeesPerApp(t *testing.T) {
+	const nApps = 6
+	var mu sync.Mutex
+	var seen []map[string]float64
+	k := NewKernel(testManager(2), testManager(2))
+	for i := 0; i < nApps; i++ {
+		g := float64(i + 1)
+		spec := AppSpec{
+			Name: fmt.Sprintf("app%d", i),
+			Workload: func() ([]*simhpc.Task, error) {
+				return []*simhpc.Task{{GFlop: g}, {GFlop: g}}, nil
+			},
+		}
+		if i == 2 {
+			spec.OnEpoch = func(res EpochResult) {
+				mu.Lock()
+				seen = append(seen, res.PerApp)
+				mu.Unlock()
+			}
+		}
+		if _, err := k.Attach(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Start(context.Background(), Options{Flush: time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+	defer k.Stop()
+	waitFor(t, "observed epochs", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen) >= 20
+	})
+	mu.Lock()
+	got := append([]map[string]float64(nil), seen[:20]...)
+	mu.Unlock()
+	for e, perApp := range got {
+		if len(perApp) != nApps {
+			t.Fatalf("call %d: PerApp %v, want all %d contributors", e, perApp, nApps)
+		}
+		for i := 0; i < nApps; i++ {
+			if name, want := fmt.Sprintf("app%d", i), 2*float64(i+1); perApp[name] != want {
+				t.Errorf("call %d: PerApp[%s] = %v, want %v", e, name, perApp[name], want)
+			}
+		}
+	}
+}

@@ -15,7 +15,10 @@ import (
 // locking against the kernel; *rtrm.Manager implements Backend as-is.
 type Backend interface {
 	// RunEpoch executes one control epoch of dt simulated seconds over
-	// the offered tasks and reports what happened.
+	// the offered tasks and reports what happened. It must not modify
+	// offered tasks, nor retain the offered slice past the call: apps
+	// return the same tasks again in later epochs, and the kernel reuses
+	// the slice's backing array.
 	RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport
 	// Stats snapshots the backend's cumulative telemetry.
 	Stats() rtrm.Stats

@@ -85,10 +85,12 @@ func (f KnobFunc) Apply(cfg autotune.Config) { f(cfg) }
 
 // Workload materializes the application's next-epoch tasks for the
 // cluster under its currently applied configuration. The returned
-// tasks are handed to the manager, which may still be reading them
-// while the kernel's pipelined epochs invoke Workload again — so each
-// call must return freshly built tasks and never retain or mutate
-// previously returned ones.
+// slice and its tasks are handed to the manager, which may still be
+// reading them while the kernel's pipelined epochs invoke Workload
+// again (or an abandoned commit finishes in the background) — so they
+// are immutable once returned; may be returned again. A workload whose
+// tasks did not change can hand back the same slice every epoch; one
+// whose tasks changed builds a new slice instead of rewriting the old.
 type Workload func() ([]*simhpc.Task, error)
 
 // AppSpec declares one adaptive application to a Controller or Kernel.
