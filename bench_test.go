@@ -1001,9 +1001,9 @@ func BenchmarkManyCore(b *testing.B) {
 // BenchmarkBackendEvacuation (K9) prices the failure domain: the K7
 // placement shape (64 apps, live producers) while a churner drains,
 // removes and re-adds one backend in a continuous cycle and every
-// commit runs under a backend deadline (the guarded half of
-// commitBounded — goroutine, timer and batch copy — instead of K7's
-// deadline-free synchronous commits). Each drain migrates the
+// commit runs under a backend deadline (the epoch waits on each
+// commit against the kernel's reused timer, instead of K7's
+// deadline-free waits). Each drain migrates the
 // victim's 64/nBackends pinned apps to the survivors at a generation
 // boundary; each re-add brings them home. The CI gate holds
 // steady-state epoch cost within 1.5× of

@@ -373,52 +373,97 @@ func TestServerConcurrentIngress(t *testing.T) {
 
 // TestServingEpochAllocsFlat: a served epoch allocates O(1), not
 // O(tenants). A quiet ladder tenant's workload closure hands back its
-// memoized tasks while its level holds, and an unobserved concurrent
-// epoch builds no PerApp map — so heap objects and bytes per kernel
-// epoch at 1024 tenants stay within a small constant of the 16-tenant
-// plane's. A closure that rebuilds its tasks costs five objects per
-// tenant per epoch; a PerApp map built with no reader, tens of KB.
+// memoized tasks while its level holds, an unobserved concurrent epoch
+// builds no PerApp map or Backends list, and a backend commit off the
+// epoch goroutine reuses its slot's reply channel, batch buffer and the
+// kernel's deadline timer — so heap objects and bytes per kernel epoch
+// at 1024 tenants stay within a small constant of the 16-tenant
+// plane's, with the commit deadline off and at antarex-serve's 2 s
+// default alike. A closure that rebuilds its tasks costs five objects
+// per tenant per epoch; a PerApp map built with no reader, tens of KB.
+//
+// The constant itself is bounded on at most two Ps, as the end-to-end
+// bench runs antarex-serve: with more, each commit's dispatch fans out
+// over goroutines inside rtrm.Manager (about five objects per commit at
+// four Ps) — a per-core cost, not this path's. Above two Ps the plane
+// is measured a second time, pinned to two, for that bound; a channel,
+// timer and batch copy per commit cost about 18 objects per epoch.
 func TestServingEpochAllocsFlat(t *testing.T) {
-	perEpoch := func(n int) (objs, bytes float64) {
-		k := runtime.NewKernel(BuildBackend(BackendSpec{Name: "b0", Nodes: 4}))
-		if err := k.AddBackend("b1", BuildBackend(BackendSpec{Name: "b1", Nodes: 4})); err != nil {
+	for _, timeout := range []time.Duration{0, 2 * time.Second} {
+		t.Run(fmt.Sprintf("timeout=%v", timeout), func(t *testing.T) {
+			small, big := servingEpochAllocs(t, timeout, 16), servingEpochAllocs(t, timeout, 1024)
+			t.Logf("per epoch at %d Ps: 16 tenants %.1f objects / %.0f B; 1024 tenants %.1f objects / %.0f B",
+				goruntime.GOMAXPROCS(0), small.objs, small.bytes, big.objs, big.bytes)
+			if big.objs > small.objs+32 {
+				t.Errorf("1024 tenants allocate %.1f objects per epoch, 16 tenants %.1f: want within 32", big.objs, small.objs)
+			}
+			if big.bytes > small.bytes+4096 {
+				t.Errorf("1024 tenants allocate %.0f B per epoch, 16 tenants %.0f B: want within 4 KiB", big.bytes, small.bytes)
+			}
+			if goruntime.GOMAXPROCS(0) > 2 {
+				defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(2))
+				small, big = servingEpochAllocs(t, timeout, 16), servingEpochAllocs(t, timeout, 1024)
+				t.Logf("per epoch at 2 Ps: 16 tenants %.1f objects; 1024 tenants %.1f objects", small.objs, big.objs)
+			}
+			for _, objs := range []float64{small.objs, big.objs} {
+				if objs > 6 {
+					t.Errorf("a served epoch allocates %.1f objects, want <= 6", objs)
+				}
+			}
+		})
+	}
+}
+
+// epochAllocs is the heap cost of one served epoch.
+type epochAllocs struct{ objs, bytes float64 }
+
+// servingEpochAllocs serves n quiet ladder tenants over two backends,
+// unpaced, and returns the heap objects and bytes per kernel epoch.
+func servingEpochAllocs(t *testing.T, timeout time.Duration, n int) epochAllocs {
+	t.Helper()
+	k := runtime.NewKernel(BuildBackend(BackendSpec{Name: "b0", Nodes: 4}))
+	if err := k.AddBackend("b1", BuildBackend(BackendSpec{Name: "b1", Nodes: 4})); err != nil {
+		t.Fatal(err)
+	}
+	k.SetBackendTimeout(timeout)
+	srv := httptest.NewServer(NewServer(k))
+	defer srv.Close()
+	c := NewClient(srv.URL, srv.Client())
+	for i := 0; i < n; i++ {
+		if _, err := c.Register(AppSpec{
+			Name:      fmt.Sprintf("t%d", i),
+			Placement: fmt.Sprintf("b%d", i%2),
+			Goals:     []GoalSpec{{Metric: monitor.MetricLatency, Target: 1}},
+			Workload:  WorkloadSpec{Tasks: 4, GFlop: 2},
+			Policy:    &PolicySpec{Type: PolicyLadder, Levels: []float64{1, 0.5}},
+		}); err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(NewServer(k))
-		defer srv.Close()
-		c := NewClient(srv.URL, srv.Client())
-		for i := 0; i < n; i++ {
-			if _, err := c.Register(AppSpec{
-				Name:      fmt.Sprintf("t%d", i),
-				Placement: fmt.Sprintf("b%d", i%2),
-				Goals:     []GoalSpec{{Metric: monitor.MetricLatency, Target: 1}},
-				Workload:  WorkloadSpec{Tasks: 4, GFlop: 2},
-				Policy:    &PolicySpec{Type: PolicyLadder, Levels: []float64{1, 0.5}},
-			}); err != nil {
-				t.Fatal(err)
+	}
+	if err := k.Start(context.Background(), runtime.Options{}); err != nil { // unpaced
+		t.Fatal(err)
+	}
+	defer k.Stop()
+	waitFor(t, "warm-up epochs", func() bool { return k.Epochs() >= 20 })
+	// Stopping the world waits for running goroutines to yield, and a
+	// 16-tenant plane completes hundreds of epochs meanwhile; an epoch
+	// count read beside the heap counters is only theirs when it did
+	// not move across the read.
+	mark := func() (ms goruntime.MemStats, epoch int64) {
+		var drift int64
+		for range 1000 {
+			epoch = k.Epochs()
+			goruntime.ReadMemStats(&ms)
+			if drift = k.Epochs() - epoch; drift == 0 {
+				return ms, epoch
 			}
 		}
-		if err := k.Start(context.Background(), runtime.Options{}); err != nil { // unpaced
-			t.Fatal(err)
-		}
-		defer k.Stop()
-		waitFor(t, "warm-up epochs", func() bool { return k.Epochs() >= 20 })
-		var before, after goruntime.MemStats
-		goruntime.ReadMemStats(&before)
-		e0 := k.Epochs()
-		waitFor(t, "measured epochs", func() bool { return k.Epochs() >= e0+100 })
-		goruntime.ReadMemStats(&after)
-		epochs := float64(k.Epochs() - e0)
-		return float64(after.Mallocs-before.Mallocs) / epochs, float64(after.TotalAlloc-before.TotalAlloc) / epochs
+		t.Fatalf("epoch count moved across every one of 1000 heap reads (last by %d)", drift)
+		return ms, epoch
 	}
-	smallObjs, smallBytes := perEpoch(16)
-	bigObjs, bigBytes := perEpoch(1024)
-	t.Logf("per epoch: 16 tenants %.1f objects / %.0f B; 1024 tenants %.1f objects / %.0f B",
-		smallObjs, smallBytes, bigObjs, bigBytes)
-	if bigObjs > smallObjs+32 {
-		t.Errorf("1024 tenants allocate %.1f objects per epoch, 16 tenants %.1f: want within 32", bigObjs, smallObjs)
-	}
-	if bigBytes > smallBytes+4096 {
-		t.Errorf("1024 tenants allocate %.0f B per epoch, 16 tenants %.0f B: want within 4 KiB", bigBytes, smallBytes)
-	}
+	before, e0 := mark()
+	waitFor(t, "measured epochs", func() bool { return k.Epochs() >= e0+100 })
+	after, e1 := mark()
+	epochs := float64(e1 - e0)
+	return epochAllocs{float64(after.Mallocs-before.Mallocs) / epochs, float64(after.TotalAlloc-before.TotalAlloc) / epochs}
 }

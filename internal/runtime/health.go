@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/rtrm"
@@ -148,9 +147,9 @@ func (k *Kernel) SetNoHealthyPolicy(p NoHealthyPolicy) { k.noHealthy.Store(int32
 // running longer than d marks the slot Degraded, reroutes its batches and
 // evacuates its apps, while the stalled commit finishes on its own
 // goroutine (healing the slot when it completes). Zero (the default)
-// disables the deadline — commits are then synchronous on the epoch
-// path with no timer or goroutine cost, which is what a kernel with one
-// backend always gets (see commitBounded). Applies to multi-backend
+// disables the deadline: the epoch waits for every commit however long
+// it takes. A kernel with one backend never applies it — its commits
+// stay on the epoch goroutine (see commitAll). Applies to multi-backend
 // epochs from the next commit on.
 func (k *Kernel) SetBackendTimeout(d time.Duration) {
 	if d < 0 {
@@ -261,6 +260,25 @@ func (k *Kernel) healStalledBackend(bs *backendSlot) {
 	k.emitBackendEvent(bs, "stalled commit completed")
 }
 
+// degradeStalledBackend marks a slot Degraded when the epoch abandons
+// its commit: only a Healthy slot (a failed one keeps its panic, which
+// nothing heals) and only while the commit is still abandoned (one that
+// landed has already run its heal, which nothing would run again).
+func (k *Kernel) degradeStalledBackend(bs *backendSlot, reason string) {
+	k.mu.Lock()
+	if BackendHealth(bs.health.Load()) != BackendHealthy || bs.commitState.Load() != commitAbandoned {
+		k.mu.Unlock()
+		return
+	}
+	bs.health.Store(int32(BackendDegraded))
+	bs.lastErr = reason
+	if bs.state.Load() == slotActive {
+		k.membershipChangedLocked()
+	}
+	k.mu.Unlock()
+	k.emitBackendEvent(bs, reason)
+}
+
 // ReviveBackend clears a Failed or Degraded backend back to Healthy —
 // the operator's (or chaos harness's) resurrection hook. It refuses
 // while a commit is still in flight on the slot (an abandoned stall has
@@ -279,13 +297,13 @@ func (k *Kernel) ReviveBackend(name string) error {
 		k.mu.Unlock()
 		return fmt.Errorf("runtime: revive %q: backend is %s", name, slotStateName(st))
 	}
-	if bs.inflight.Load() > 0 {
-		k.mu.Unlock()
-		return fmt.Errorf("runtime: revive %q: a commit is still in flight", name)
-	}
 	if bs.health.Load() == int32(BackendHealthy) {
 		k.mu.Unlock()
 		return nil
+	}
+	if bs.commitState.Load() != commitIdle {
+		k.mu.Unlock()
+		return fmt.Errorf("runtime: revive %q: a commit is still in flight", name)
 	}
 	bs.health.Store(int32(BackendHealthy))
 	bs.lastErr = ""
@@ -450,7 +468,7 @@ func (k *Kernel) completeDrain(bs *backendSlot, gen int64) {
 	}
 	// An abandoned (stalled) commit may still hold the slot's backend;
 	// retire only after it returns.
-	for bs.inflight.Load() > 0 {
+	for bs.commitState.Load() != commitIdle {
 		time.Sleep(200 * time.Microsecond)
 	}
 	k.mu.Lock()
@@ -475,12 +493,6 @@ func (k *Kernel) finalizeRemove(name string, bs *backendSlot) {
 	k.membershipChangedLocked()
 	k.mu.Unlock()
 	k.emitBackendEvent(bs, "removed")
-}
-
-// commitResult carries a guarded commit's outcome to its waiter.
-type commitResult struct {
-	rep rtrm.EpochReport
-	ok  bool
 }
 
 // EpochStager is the staged form of a Backend's epoch: commit drives
@@ -532,73 +544,89 @@ func (k *Kernel) commit(bs *backendSlot, dt float64, tasks []*simhpc.Task, worke
 	return rep, true
 }
 
-// commitBounded is commit under the configured BackendTimeout — the
-// one place the deadline is read. Without one it is commit itself:
-// synchronous, no timer, no goroutine. So it is for a sole backend,
-// whatever the timeout: there is nowhere to reroute a stalled batch,
-// and abandoning it would only lose it. Otherwise the commit runs on
-// its own goroutine and the waiter gives up at the deadline: the slot
-// goes Degraded (evacuating its apps), the epoch moves on without this
-// backend's report, and the abandoned commit finishes in the
-// background — publishing its stats under the commit mutex as usual and
-// healing the slot once no commits remain in flight. ok=false means
-// panicked or abandoned: there is no report, and the batch stays in the
-// offered-totals ledger either way (the work was offered; whether a
-// stalled manager eventually ran it shows up in manager telemetry).
-func (k *Kernel) commitBounded(bs *backendSlot, dt float64, tasks []*simhpc.Task, workers int, sole bool) (rtrm.EpochReport, bool) {
+// backendSlot.commitState: whoever moves a slot out of running owns its
+// commit's outcome — the committer (→idle) replies to the waiting epoch,
+// the epoch at its deadline (→abandoned) degrades the slot.
+const (
+	commitIdle int32 = iota
+	commitRunning
+	commitAbandoned
+)
+
+// commitAll runs every active slot's commit, filling its report and
+// committed flag — the one place BackendTimeout is read. A sole backend
+// (nowhere to reroute a stalled batch), or a lone commit with no
+// deadline, commits on the epoch goroutine; every other commit runs on
+// its own goroutine (commitAsync), the epoch waiting on each slot's
+// reply against one deadline. A commit still running then is abandoned:
+// its slot goes Degraded (evacuating its apps) and the epoch moves on
+// without its report (committed=false, as for a panic; the offered
+// totals stand either way). The abandoned commit still reads the slot's
+// tasks, so routeAndCommit neither resets nor routes to a slot that is
+// not idle; such a slot is never schedulable, so never the fallback.
+func (k *Kernel) commitAll(bks []*backendSlot, dt float64, nActive int, sole bool) {
+	cw := k.commitWorkers(nActive)
 	d := time.Duration(k.backendTimeout.Load())
-	if d <= 0 || sole {
-		return k.commit(bs, dt, tasks, workers)
-	}
-	bs.inflight.Add(1)
-	var claimed atomic.Bool
-	res := make(chan commitResult, 1)
-	// The commit goroutine can outlive this call (abandonment), while
-	// the epoch engine recycles its batch scratch across epochs — so the
-	// goroutine gets its own copy of the slice, never the caller's
-	// buffer. The copy lands in the slot's spare buffer, which the
-	// goroutine returns once its commit is done; while another commit
-	// holds the spare, the copy is fresh. Tasks are immutable once a
-	// Workload returns them, so only the slice needs copying.
-	bp := bs.spare.Swap(nil)
-	if bp == nil {
-		bp = new([]*simhpc.Task)
-	}
-	batch := append((*bp)[:0], tasks...)
-	go func() {
-		r, cok := k.commit(bs, dt, batch, workers)
-		clear(batch)
-		*bp = batch[:0]
-		bs.spare.Store(bp)
-		if claimed.CompareAndSwap(false, true) {
-			bs.inflight.Add(-1)
-			res <- commitResult{r, cok}
-			return
+	inline := sole || (nActive == 1 && d <= 0)
+	for _, bs := range bks {
+		if !bs.active {
+			continue
 		}
-		// Abandoned: the waiter is gone. Settle the slot — heal a
-		// stall-degraded slot once the last in-flight commit returns
-		// (commits queued behind the stall each pass through here).
-		idle := bs.inflight.Add(-1) == 0
-		if cok && idle {
-			k.healStalledBackend(bs)
+		if inline {
+			bs.report, bs.committed = k.commit(bs, dt, bs.tasks, cw)
+			continue
 		}
-		k.signalEpoch() // late stats published: wake stream consumers
-	}()
-	t := time.NewTimer(d)
-	select {
-	case r := <-res:
-		t.Stop()
-		return r.rep, r.ok
-	case <-t.C:
-		if claimed.CompareAndSwap(false, true) {
-			k.setBackendHealth(bs, BackendDegraded,
-				fmt.Sprintf("commit exceeded the %v backend timeout", d))
-			return rtrm.EpochReport{}, false
-		}
-		// The commit landed as the timer fired; take it.
-		r := <-res
-		return r.rep, r.ok
+		bs.commitState.Store(commitRunning)
+		go k.commitAsync(bs, dt, bs.tasks, cw)
 	}
+	if inline {
+		return
+	}
+	var deadline <-chan time.Time // nil without a timeout: wait for every reply
+	if d > 0 {
+		if k.commitTimer == nil {
+			k.commitTimer = time.NewTimer(d)
+		}
+		k.commitTimer.Reset(d)
+		defer k.commitTimer.Stop()
+		deadline = k.commitTimer.C
+	}
+	expired := false
+	for _, bs := range bks {
+		if !bs.active {
+			continue
+		}
+		if !expired {
+			select {
+			case bs.committed = <-bs.reply:
+				continue
+			case <-deadline:
+				expired = true
+			}
+		}
+		if bs.commitState.CompareAndSwap(commitRunning, commitAbandoned) {
+			k.degradeStalledBackend(bs, fmt.Sprintf("commit exceeded the %v backend timeout", d))
+			continue
+		}
+		bs.committed = <-bs.reply // the commit landed as the deadline passed
+	}
+}
+
+// commitAsync is one off-goroutine commit (see commitAll). Abandoned,
+// it settles the slot itself: idle first, so the buffer is free before
+// the heal can make the slot schedulable, then a wake for late stats.
+func (k *Kernel) commitAsync(bs *backendSlot, dt float64, tasks []*simhpc.Task, workers int) {
+	rep, ok := k.commit(bs, dt, tasks, workers)
+	if bs.commitState.CompareAndSwap(commitRunning, commitIdle) {
+		bs.report = rep
+		bs.reply <- ok
+		return
+	}
+	bs.commitState.Store(commitIdle)
+	if ok {
+		k.healStalledBackend(bs)
+	}
+	k.signalEpoch()
 }
 
 // awaitSchedulable resolves the executor's fallback backend when the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -589,9 +590,9 @@ func TestTotalsExactUnderBackendFailure(t *testing.T) {
 // TestWorkloadSliceReusedAcrossEpochs pins the Workload contract's
 // second half — a returned slice may be returned again. Every app hands
 // back one shared slice every epoch while b0's commit is parked past
-// the deadline, so the abandoned commit reads the slice (through its
-// batch copy) while later epochs route the same tasks to b1. Under
-// -race any write to a task or a returned slice is a report; the
+// the deadline, so the abandoned commit reads the slice (through the
+// buffer its slot keeps) while later epochs route the same tasks to
+// b1. Under -race any write to a task or a returned slice is a report; the
 // ledger must equal epochs × slice GFlop bit for bit, and the slice
 // must come out as it went in.
 func TestWorkloadSliceReusedAcrossEpochs(t *testing.T) {
@@ -666,5 +667,170 @@ func TestWorkloadSliceReusedAcrossEpochs(t *testing.T) {
 		if task != wantPtrs[i] || !reflect.DeepEqual(*task, want[i]) {
 			t.Errorf("shared[%d] = %p %+v, want %p %+v (unchanged)", i, task, *task, wantPtrs[i], want[i])
 		}
+	}
+}
+
+// TestAbandonedCommitHoldsSlot: while a commit abandoned at the deadline
+// is still running, its slot is held — Degraded, ReviveBackend refuses
+// it as in flight, and a removal waits for it through any number of
+// epochs. Once the commit returns the removal completes, and the ledger
+// counts every epoch's offered work exactly.
+func TestAbandonedCommitHoldsSlot(t *testing.T) {
+	k, gated, open := gatedKernel(t)
+	defer open()
+	for _, name := range []string{"app0", "app1"} {
+		if err := k.Detach(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const nApps = 4
+	var calls [nApps]atomic.Int64
+	for i := 0; i < nApps; i++ {
+		g := float64(i + 1)
+		if _, err := k.Attach(AppSpec{
+			Name:    fmt.Sprintf("app%d", i),
+			Backend: fmt.Sprintf("b%d", i%2),
+			Workload: func() ([]*simhpc.Task, error) {
+				calls[i].Add(1)
+				return []*simhpc.Task{{GFlop: g}, {GFlop: g}}, nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.SetBackendTimeout(5 * time.Millisecond)
+	if err := k.Start(context.Background(), Options{Flush: 2 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	defer k.Stop()
+	waitFor(t, "warm-up epochs", func() bool { return k.Epochs() >= 5 })
+
+	gated.armed.Store(true)
+	<-gated.entered // b0's commit is parked inside RunEpoch
+	waitHealth(t, k, "b0", BackendDegraded)
+	if err := k.ReviveBackend("b0"); err == nil || !strings.Contains(err.Error(), "still in flight") {
+		t.Errorf("revive under an abandoned commit: %v, want a still-in-flight refusal", err)
+	}
+	gone, err := k.RemoveBackendAsync("b0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e0 := k.Epochs()
+	waitFor(t, "epochs past the abandoned commit", func() bool { return k.Epochs() >= e0+10 })
+	select {
+	case <-gone:
+		t.Fatal("b0 removed while its abandoned commit was still running")
+	default:
+	}
+	open()
+	select {
+	case <-gone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("removal never completed after the abandoned commit returned")
+	}
+	if k.HasBackend("b0") {
+		t.Error("b0 still registered after its removal completed")
+	}
+	e1 := k.Epochs()
+	waitFor(t, "epochs after the removal", func() bool { return k.Epochs() >= e1+5 })
+	k.Stop()
+	if err := k.Err(); err != nil {
+		t.Fatal(err)
+	}
+	totals := k.TotalsPerApp()
+	for i := range calls {
+		name, want := fmt.Sprintf("app%d", i), 0.0
+		for n := calls[i].Load(); n > 0; n-- {
+			want += 2 * float64(i+1)
+		}
+		if totals[name] != want {
+			t.Errorf("%s: ledger %v, want %d epochs × %v = %v", name, totals[name], calls[i].Load(), 2*float64(i+1), want)
+		}
+	}
+}
+
+// TestAbandonmentKeepsFailed: abandoning a commit at its deadline moves
+// the slot only from Healthy to Degraded, and only while the commit is
+// still abandoned. A commit that panicked just before the deadline
+// claimed it has already failed the slot, and the panic must stay its
+// health and reason — a Degraded slot whose commit returned ok=false
+// would never heal. A commit that landed between the claim and the
+// degrade has already run its heal, so the slot must stay Healthy.
+func TestAbandonmentKeepsFailed(t *testing.T) {
+	k := NewKernel(testManager(2), testManager(2), testManager(2))
+	failed, healthy, landed := k.backends[0], k.backends[1], k.backends[2]
+	k.setBackendHealth(failed, BackendFailed, "backend panic: injected")
+	for _, bs := range []*backendSlot{failed, healthy} {
+		bs.commitState.Store(commitAbandoned)
+	}
+	for _, bs := range []*backendSlot{failed, healthy, landed} {
+		k.degradeStalledBackend(bs, "commit exceeded the 1ms backend timeout")
+	}
+	st := k.BackendStats()
+	if st[0].Health != BackendFailed || st[0].LastErr != "backend panic: injected" {
+		t.Errorf("failed slot after abandonment: %s %q, want failed with the panic", st[0].Health, st[0].LastErr)
+	}
+	if st[1].Health != BackendDegraded || !strings.Contains(st[1].LastErr, "backend timeout") {
+		t.Errorf("healthy slot after abandonment: %s %q, want degraded by the timeout", st[1].Health, st[1].LastErr)
+	}
+	if st[2].Health != BackendHealthy || st[2].LastErr != "" {
+		t.Errorf("slot whose commit already landed: %s %q, want healthy with no error", st[2].Health, st[2].LastErr)
+	}
+}
+
+// offerLog wraps a Backend and records every batch offered to it.
+type offerLog struct {
+	Backend
+	batches [][]*simhpc.Task
+}
+
+func (o *offerLog) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport {
+	o.batches = append(o.batches, slices.Clone(offered))
+	return o.Backend.RunEpoch(dt, offered)
+}
+
+// TestHeldSlotTakesNoWork: a slot whose abandoned commit still had it
+// when the epoch reset its buffers takes no work in that epoch, even if
+// its health reads Healthy by the time the apps route — the commit can
+// land and heal the slot in between, and the buffer it was reading was
+// kept, not reset. The slot's app reroutes for that epoch, the kept
+// buffer stays as the commit left it, and once the slot is idle its
+// next batch holds only that epoch's tasks.
+func TestHeldSlotTakesNoWork(t *testing.T) {
+	b0, b1 := &offerLog{Backend: testManager(2)}, &offerLog{Backend: testManager(2)}
+	k := NewKernel(b0, b1)
+	fresh := []*simhpc.Task{{GFlop: 1}, {GFlop: 1}}
+	if _, err := k.Attach(AppSpec{
+		Name:     "app",
+		Backend:  "b1",
+		Workload: func() ([]*simhpc.Task, error) { return fresh, nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	held := k.backends[1]
+	stale := []*simhpc.Task{{GFlop: 7}}
+	held.tasks = append(held.tasks, stale...)
+	// Abandoned at the reset, Healthy at the routing: the heal landed
+	// between the two.
+	held.commitState.Store(commitAbandoned)
+	if _, err := k.RunEpoch(60); err != nil {
+		t.Fatal(err)
+	}
+	if len(b1.batches) != 0 {
+		t.Fatalf("held b1 committed %v, want no commit this epoch", b1.batches)
+	}
+	if len(b0.batches) != 1 || !slices.Equal(b0.batches[0], fresh) {
+		t.Errorf("b0 batches %v, want the rerouted %v", b0.batches, fresh)
+	}
+	if !slices.Equal(held.tasks, stale) {
+		t.Errorf("held buffer %v, want the abandoned batch %v untouched", held.tasks, stale)
+	}
+
+	held.commitState.Store(commitIdle) // the committer settled the slot
+	if _, err := k.RunEpoch(60); err != nil {
+		t.Fatal(err)
+	}
+	if len(b1.batches) != 1 || !slices.Equal(b1.batches[0], fresh) {
+		t.Errorf("b1 batches %v, want exactly this epoch's %v", b1.batches, fresh)
 	}
 }

@@ -74,10 +74,13 @@ var (
 // dropped. Only a change of the loop count (re-sharding when the app
 // count crosses 2·GOMAXPROCS) rebuilds the topology: a new generation.
 //
-// The epoch path is allocation-free in steady state: the per-backend
-// task lists and fan-out buffers are kernel-owned scratch reused across
-// epochs, and the serial section every app waits on covers only the
-// backend epochs themselves, each under its backend's commit mutex.
+// The epoch path allocates 4 objects per served two-backend epoch
+// whatever the app count, measured on two Ps (two goroutine closures,
+// two P-state slices; with more Ps each commit's dispatch fans out
+// inside the backend and adds its own): the task lists, reply channels,
+// deadline timer and fan-out buffers are kernel-owned scratch reused
+// across epochs, and the serial section every app waits on covers only
+// the backend epochs themselves, each under its backend's commit mutex.
 // Merging, ticking and workload materialization all happen outside
 // it. A patch allocates little (a placement view, a channel); a rebuild
 // allocates shards and goroutines.
@@ -135,6 +138,7 @@ type Kernel struct {
 	epochBackends []*backendSlot
 	epochObserver EpochObserver
 	loadScratch   []BackendLoad // ObserveEpoch view, reused
+	commitTimer   *time.Timer   // commitAll's deadline, made on first use
 
 	// epoch-signal subscribers (EpochSignal); notifyCount caches
 	// len(notify) so the zero-subscriber epoch path is one atomic load.
@@ -210,13 +214,16 @@ type backendSlot struct {
 	cell statsCell
 
 	// Epoch scratch — same ownership discipline as Kernel.fanout: tasks
-	// is this epoch's batch routed here, active whether any was.
+	// is this epoch's batch routed here, active whether any was, held
+	// whether an abandoned commit still had the slot at the epoch's start.
 	tasks  []*simhpc.Task
 	report rtrm.EpochReport
 	active bool
-	// spare is the batch buffer a deadline-guarded commit copies tasks
-	// into (commitBounded); nil while a commit holds it.
-	spare atomic.Pointer[[]*simhpc.Task]
+	held   bool
+	// commitState says who owns an off-goroutine commit's outcome, and
+	// whether tasks may be reset; reply carries it to the epoch (commitAll).
+	commitState atomic.Int32
+	reply       chan bool
 
 	// Placement telemetry, under Kernel.loadMu; see BackendLoad.
 	offered      float64
@@ -226,14 +233,12 @@ type backendSlot struct {
 	// Failure domain (see health.go). state is the lifecycle tombstone
 	// (slotActive..slotRemoved), health the BackendHealth — both written
 	// under k.mu, read lock-free by the executor (schedulable).
-	// inflight counts deadline-guarded commits outstanding on the slot;
 	// lastErr (under k.mu) is the most recent panic/stall reason.
 	// committed is epoch-engine scratch: whether this epoch's commit
 	// finished — in time and without a panic (bs.report is only valid
 	// when it did).
 	state     atomic.Int32
 	health    atomic.Int32
-	inflight  atomic.Int32
 	lastErr   string
 	committed bool
 }
@@ -259,7 +264,7 @@ func NewKernel(backends ...Backend) *Kernel {
 	}
 	for i, be := range backends {
 		name := fmt.Sprintf("b%d", i)
-		bs := &backendSlot{name: name, be: be}
+		bs := &backendSlot{name: name, be: be, reply: make(chan bool, 1)}
 		bs.staged, _ = be.(EpochStager)
 		bs.cell.publishStats(be.Stats()) // seed the seqlock for pre-commit reads
 		k.backends = append(k.backends, bs)
@@ -289,7 +294,7 @@ func (k *Kernel) AddBackend(name string, be Backend) error {
 	// Copy-on-write: epoch snapshots of k.backends stay valid.
 	bks := make([]*backendSlot, len(k.backends), len(k.backends)+1)
 	copy(bks, k.backends)
-	bs := &backendSlot{name: name, be: be}
+	bs := &backendSlot{name: name, be: be, reply: make(chan bool, 1)}
 	bs.staged, _ = be.(EpochStager)
 	bs.cell.publishStats(be.Stats())
 	k.backends = append(bks, bs)
@@ -366,23 +371,6 @@ func (k *Kernel) AppBackend(name string) string {
 		return ""
 	}
 	return k.backends[idx].name
-}
-
-// Manager returns the first backend's *rtrm.Manager (nil when that
-// backend is not a Manager) — the pre-multi-backend accessor.
-//
-// Deprecated: reading the manager's telemetry fields while the kernel
-// is running races with the epoch executor, and a multi-backend kernel
-// has no single manager. Use ManagerStats for the merged snapshot or
-// BackendStats for the per-backend view.
-func (k *Kernel) Manager() *rtrm.Manager {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if len(k.backends) == 0 {
-		return nil
-	}
-	m, _ := k.backends[0].be.(*rtrm.Manager)
-	return m
 }
 
 // ManagerStats is a consistent snapshot of backend epoch telemetry,
@@ -830,9 +818,9 @@ type contribution struct {
 // serialized (see the scratch-field comment). OnEpoch callbacks run
 // here: on the caller's goroutine in sync mode, on the kernel's
 // epoch-executor goroutine in concurrent mode. The result's PerApp map
-// is built only when something reads it — the synchronous RunEpoch
-// caller or a contributor with OnEpoch — so an unobserved concurrent
-// epoch does not allocate one.
+// and Backends list are built only when something reads them — the
+// synchronous RunEpoch caller or a contributor with OnEpoch — so an
+// unobserved concurrent epoch allocates neither.
 func (k *Kernel) execute(dt float64, contribs []contribution, returned bool) EpochResult {
 	observed := returned
 	for _, c := range contribs {
@@ -850,10 +838,10 @@ func (k *Kernel) execute(dt float64, contribs []contribution, returned bool) Epo
 
 // routeAndCommit is the epoch itself, one body for any number of
 // backends: partition the acceptance batch by each contributing app's
-// placed backend, then run every contributing backend's epoch — inline
-// when only one has work, concurrently otherwise; backends without
-// contributors do not run. The call is the epoch barrier: it waits for
-// every contributing backend before returning. Merging stays outside
+// placed backend, then run every contributing backend's epoch
+// (commitAll); backends without contributors do not run. The call is
+// the epoch barrier: it waits for every contributing backend — or its
+// deadline — before returning. Merging stays outside
 // any lock, and the commit locks cover only the backend epochs
 // themselves. Afterwards the per-backend load telemetry feeds the
 // placement policy, and an EpochObserver policy may request the
@@ -880,7 +868,13 @@ func (k *Kernel) routeAndCommit(dt float64, contribs []contribution, observed bo
 		perApp = make(map[string]float64, len(contribs))
 	}
 	for _, bs := range bks {
-		bs.tasks = bs.tasks[:0]
+		// A held slot's buffer is its abandoned commit's (commitAll): keep
+		// it, and route nothing there this epoch even if the slot heals.
+		bs.held = bs.commitState.Load() != commitIdle
+		if !bs.held {
+			clear(bs.tasks)
+			bs.tasks = bs.tasks[:0]
+		}
 		bs.active = false
 		bs.committed = false
 	}
@@ -897,8 +891,8 @@ func (k *Kernel) routeAndCommit(dt float64, contribs []contribution, observed bo
 			continue // write-off epoch: account, don't route
 		}
 		idx := int(c.ctl.backend.Load())
-		if idx < 0 || idx >= len(bks) || !bks[idx].schedulable() {
-			idx = fallback // unplaced or unhealthy target: reroute
+		if idx < 0 || idx >= len(bks) || bks[idx].held || !bks[idx].schedulable() {
+			idx = fallback // unplaced, held or unhealthy target: reroute
 		}
 		bs := bks[idx]
 		bs.active = true
@@ -915,35 +909,14 @@ func (k *Kernel) routeAndCommit(dt float64, contribs []contribution, observed bo
 	}
 	nActive := 0
 	for _, bs := range bks {
-		// Zero the reused buffer's tail so one burst epoch's task pointers
-		// are not pinned for the kernel's lifetime by smaller later epochs.
-		clear(bs.tasks[len(bs.tasks):cap(bs.tasks)])
 		if bs.active {
 			nActive++
 		}
 	}
-
-	cw := k.commitWorkers(nActive)
-	var wg sync.WaitGroup
-	for _, bs := range bks {
-		if !bs.active {
-			continue
-		}
-		if nActive == 1 {
-			// Nothing to overlap with: commit on the epoch goroutine.
-			bs.report, bs.committed = k.commitBounded(bs, dt, bs.tasks, cw, sole)
-			break
-		}
-		wg.Add(1)
-		go func(bs *backendSlot) {
-			defer wg.Done()
-			bs.report, bs.committed = k.commitBounded(bs, dt, bs.tasks, cw, false)
-		}(bs)
-	}
-	wg.Wait()
+	k.commitAll(bks, dt, nActive, sole)
 
 	res := EpochResult{Epoch: k.epochs.Add(1), PerApp: perApp}
-	if !sole && nActive > 0 {
+	if observed && !sole && nActive > 0 {
 		res.Backends = make([]BackendEpoch, 0, nActive)
 	}
 	// Aggregate the reports and refresh the per-backend load telemetry
@@ -965,7 +938,9 @@ func (k *Kernel) routeAndCommit(dt float64, contribs []contribution, observed bo
 			res.Report.DoneGFlop += bs.report.DoneGFlop
 			res.Report.DeferredGFlop += bs.report.DeferredGFlop
 			res.Report.HotNodes += bs.report.HotNodes
-			res.Backends = append(res.Backends, BackendEpoch{Name: bs.name, Report: bs.report})
+			if observed {
+				res.Backends = append(res.Backends, BackendEpoch{Name: bs.name, Report: bs.report})
+			}
 		}
 		offered := bs.report.DoneGFlop + bs.report.DeferredGFlop
 		bs.offered = offered

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -523,15 +524,16 @@ func TestKernelSyncEpochAllocs(t *testing.T) {
 	}
 }
 
-// TestOnEpochSeesPerApp: a concurrent epoch builds PerApp only when it
-// has a reader, and one app's OnEpoch is a reader — every call it gets
-// lists every contributor with its offered GFlop, the apps without an
-// OnEpoch included. Flush is long, so no epoch before Stop cuts a
-// partial batch.
+// TestOnEpochSeesPerApp: a concurrent epoch builds PerApp and Backends
+// only when it has a reader, and one app's OnEpoch is a reader — every
+// call it gets lists every contributor with its offered GFlop, the apps
+// without an OnEpoch included, and every backend that committed. Flush
+// is long, so no epoch before Stop cuts a partial batch.
 func TestOnEpochSeesPerApp(t *testing.T) {
 	const nApps = 6
 	var mu sync.Mutex
 	var seen []map[string]float64
+	var seenBackends [][]BackendEpoch
 	k := NewKernel(testManager(2), testManager(2))
 	for i := 0; i < nApps; i++ {
 		g := float64(i + 1)
@@ -545,6 +547,7 @@ func TestOnEpochSeesPerApp(t *testing.T) {
 			spec.OnEpoch = func(res EpochResult) {
 				mu.Lock()
 				seen = append(seen, res.PerApp)
+				seenBackends = append(seenBackends, res.Backends)
 				mu.Unlock()
 			}
 		}
@@ -563,8 +566,27 @@ func TestOnEpochSeesPerApp(t *testing.T) {
 	})
 	mu.Lock()
 	got := append([]map[string]float64(nil), seen[:20]...)
+	gotBackends := append([][]BackendEpoch(nil), seenBackends[:20]...)
 	mu.Unlock()
+	// Pinned placement never migrates, so every epoch commits on the
+	// backends the apps were placed on, in registration order.
+	var want []string
+	for _, b := range k.Backends() {
+		for i := 0; i < nApps; i++ {
+			if k.AppBackend(fmt.Sprintf("app%d", i)) == b {
+				want = append(want, b)
+				break
+			}
+		}
+	}
 	for e, perApp := range got {
+		var names []string
+		for _, be := range gotBackends[e] {
+			names = append(names, be.Name)
+		}
+		if !slices.Equal(names, want) {
+			t.Errorf("call %d: Backends %v, want an entry for each committing backend %v", e, names, want)
+		}
 		if len(perApp) != nApps {
 			t.Fatalf("call %d: PerApp %v, want all %d contributors", e, perApp, nApps)
 		}

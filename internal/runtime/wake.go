@@ -164,12 +164,5 @@ func (k *Kernel) commitWorkers(concurrent int) int {
 	if gmp <= 0 {
 		gmp = goruntime.GOMAXPROCS(0)
 	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	w := gmp / concurrent
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, gmp/max(1, concurrent))
 }
