@@ -15,7 +15,8 @@ import (
 
 // The chaos experiment stresses the backend failure domain. Mid-run it
 // kills (panic), stalls (deadline overrun) and resurrects
-// each backend, plus one full drain/remove/re-add cycle, then asserts
+// each backend, plus one full drain/remove/re-add cycle and one app's
+// detach/re-attach under the same name, then asserts
 // total-accounting exactness: every app's cumulative offered GFlop in
 // the kernel's ledger must equal — bit for bit — what the app's own
 // workload closure produced. Zero observation loss under fault, or
@@ -55,7 +56,8 @@ func chaos() {
 // chaosRun is the round: 3 backends × 9 hinted apps; each backend is
 // killed and resurrected, then stalled past the commit deadline and
 // auto-healed; one backend is additionally drained, removed and
-// re-added. Returns false on any violated invariant.
+// re-added, and one app detached and re-attached. Returns false on any
+// violated invariant.
 func chaosRun() bool {
 	const (
 		nBackends = 3
@@ -94,12 +96,12 @@ func chaosRun() bool {
 	expected := make(map[string]float64, nApps)
 	gen := simhpc.NewWorkloadGen(7)
 	var genMu sync.Mutex
-	for i := 0; i < nApps; i++ {
+	specs := make([]runtime.AppSpec, nApps)
+	for i := range specs {
 		name := fmt.Sprintf("app%d", i)
-		hint := fmt.Sprintf("b%d", i%nBackends)
-		_, err := kern.Attach(runtime.AppSpec{
+		specs[i] = runtime.AppSpec{
 			Name:    name,
-			Backend: hint, // hinted home: apps return after their backend heals
+			Backend: fmt.Sprintf("b%d", i%nBackends), // hinted home: apps return after their backend heals
 			Workload: func() ([]*simhpc.Task, error) {
 				genMu.Lock()
 				tasks := gen.Mix(2, 1, 1, 1, 5)
@@ -113,8 +115,8 @@ func chaosRun() bool {
 				expMu.Unlock()
 				return tasks, nil
 			},
-		})
-		if err != nil {
+		}
+		if _, err := kern.Attach(specs[i]); err != nil {
 			return fail("attach %s: %v", name, err)
 		}
 	}
@@ -239,6 +241,25 @@ func chaosRun() bool {
 	if !waitFor("settle epochs", func() bool { return kern.Epochs() >= e0+50 }) {
 		return false
 	}
+
+	// One app detached and attached again under its name: the same
+	// closure keeps adding to expected[name], so the ledger must carry
+	// one running sum across both lifetimes, including the detached
+	// lifetime's drained final batch.
+	again := specs[nApps/2]
+	if err := kern.Detach(again.Name); err != nil {
+		return fail("detach %s: %v", again.Name, err)
+	}
+	if !waitFor(again.Name+" detach served", func() bool { return kern.ServedGeneration() >= kern.Generation() }) {
+		return false
+	}
+	if _, err := kern.Attach(again); err != nil {
+		return fail("re-attach %s: %v", again.Name, err)
+	}
+	e1 := kern.Epochs()
+	if !waitFor(again.Name+" re-attached epochs", func() bool { return kern.Epochs() >= e1+20 }) {
+		return false
+	}
 	kern.Stop()
 	cancel()
 	if err := kern.Err(); err != nil {
@@ -247,7 +268,8 @@ func chaosRun() bool {
 
 	// Exactness: the ledger equals the closures' own accounting, to the
 	// last bit — no contribution lost or double-counted through panics,
-	// stalls, reroutes, evacuations, or the remove/re-add.
+	// stalls, reroutes, evacuations, the remove/re-add, or the app's
+	// detach/re-attach.
 	totals := kern.TotalsPerApp()
 	expMu.Lock()
 	defer expMu.Unlock()
@@ -256,7 +278,7 @@ func chaosRun() bool {
 			return fail("total mismatch for %s: kernel %v, workload produced %v", name, got, want)
 		}
 	}
-	fmt.Printf("  chaos: %d epochs, %d apps: kills+stalls+remove survived, totals exact\n",
+	fmt.Printf("  chaos: %d epochs, %d apps: kills+stalls+remove+re-attach survived, totals exact\n",
 		kern.Epochs(), nApps)
 	return true
 }

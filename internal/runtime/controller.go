@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -54,11 +53,9 @@ type Controller struct {
 	// read by the epoch engine.
 	backend atomic.Int32
 
-	// total is the app's cumulative offered GFlop as float bits. The
-	// serialized epoch engine accounts every contribution in merge
-	// order, so the float sum is deterministic; updates go through a CAS
-	// loop and status readers load it lock-free.
-	total atomic.Uint64
+	// acct is the ledger account of the app's name, shared by every
+	// controller attached under it; set by Kernel.Attach.
+	acct *account
 
 	// quarantined marks an app whose user-supplied Sensor/Policy/Knob/
 	// Workload panicked: the kernel skips it every later epoch and the
@@ -69,18 +66,6 @@ type Controller struct {
 	quarantined atomic.Bool
 	failMu      sync.Mutex
 	lastErr     string
-}
-
-// addTotal accumulates offered work (see the total field for the
-// concurrency contract).
-func (c *Controller) addTotal(g float64) {
-	for {
-		old := c.total.Load()
-		next := math.Float64bits(math.Float64frombits(old) + g)
-		if c.total.CompareAndSwap(old, next) {
-			return
-		}
-	}
 }
 
 // quarantine marks the app failed with the given panic message.
@@ -108,11 +93,6 @@ func (c *Controller) LastError() string {
 // Quarantined reports whether a panic in user-supplied code has
 // permanently sidelined this app (see Kernel.tickApp).
 func (c *Controller) Quarantined() bool { return c.quarantined.Load() }
-
-// totalGFlop reads the cumulative offered work.
-func (c *Controller) totalGFlop() float64 {
-	return math.Float64frombits(c.total.Load())
-}
 
 // NewController assembles a controller from an AppSpec, applying the
 // window/debounce defaults.
@@ -223,7 +203,8 @@ func (c *Controller) Tick() monitor.Decision {
 // so a decision is computed entirely by the old policy or entirely by
 // the new one — never a mix. Swapping also clears quarantine: the
 // component that crashed is being replaced, so the app gets a fresh
-// chance without a detach/re-attach cycle (which would reset totals).
+// chance without a detach/re-attach cycle (which would reset its
+// windows and adaptation counters).
 func (c *Controller) SwapPolicy(p Policy, kb Knob) Policy {
 	c.tickMu.Lock()
 	old := c.spec.Policy

@@ -453,7 +453,6 @@ func (k *Kernel) completeDrain(bs *backendSlot, gen int64) {
 			// the evacuation refresh here.
 			k.syncMu.Lock()
 			k.mu.Lock()
-			k.foldRetiredLocked()
 			k.refreshPlacementLocked()
 			k.mu.Unlock()
 			k.syncMu.Unlock()

@@ -85,7 +85,7 @@ var (
 // it. A patch allocates little (a placement view, a channel); a rebuild
 // allocates shards and goroutines.
 type Kernel struct {
-	mu         sync.Mutex // guards apps, byName, backends, byBackend, placement, placeGen, running, cancel, memGen, memChanged, detachedTotals, pendingRetire
+	mu         sync.Mutex // guards apps, byName, backends, byBackend, placement, placeGen, running, cancel, memGen, memChanged, accounts
 	apps       []*Controller
 	byName     map[string]*Controller
 	backends   []*backendSlot // copy-on-write: AddBackend replaces the slice
@@ -100,23 +100,15 @@ type Kernel struct {
 
 	servedGen atomic.Int64 // generation the concurrent loops currently serve
 
-	syncMu sync.Mutex // serializes whole synchronous RunEpoch calls
+	syncMu sync.Mutex // serializes whole synchronous RunEpoch calls, and Start against them
 
-	// Cumulative per-app offered GFlop lives on each Controller as an
-	// atomic (single writer: the epoch engine commits an app's work on
-	// exactly one backend per generation). detachedTotals accumulates
-	// the totals of retired controllers; pendingRetire holds detached
-	// controllers whose final drained epoch may not have committed yet —
-	// they fold into detachedTotals at the next quiescent point. Both
-	// under k.mu; reads sum all three sources, so totals are never lost
-	// or double-counted across detach/re-attach churn. ledger caches the
-	// name-sorted index of those sources (ledger.go); ledgerVer, bumped
-	// under k.mu by every change to them, says when it is stale.
-	detachedTotals map[string]float64
-	pendingRetire  []*Controller
-	ledger         atomic.Pointer[ledgerIndex]
-	ledgerVer      atomic.Int64
-	epochs         atomic.Int64
+	// Cumulative offered GFlop: one account per app name, never removed
+	// (ledger.go). ledger caches the name-sorted index of accounts;
+	// ledgerVer, bumped under k.mu when a name opens one, marks it stale.
+	accounts  map[string]*account
+	ledger    atomic.Pointer[ledgerIndex]
+	ledgerVer atomic.Int64
+	epochs    atomic.Int64
 
 	// loadMu guards the per-backend placement telemetry (backendSlot
 	// offered/deferredEWMA/apps). A leaf lock: never held while taking
@@ -128,7 +120,7 @@ type Kernel struct {
 	// concurrent mode by its single per-generation epoch executor (and
 	// generations are sequential: the supervisor waits for one to wind
 	// down before starting the next) — and the two modes are mutually
-	// exclusive.
+	// exclusive: Start takes syncMu too.
 	fanout []contribution
 	// epochBackends is the backend set the current generation (or sync
 	// epoch) routes over — snapshotted with the app set, so an epoch
@@ -256,11 +248,11 @@ const deferredEWMAAlpha = 0.25
 // ErrNoBackends until at least one backend is registered.
 func NewKernel(backends ...Backend) *Kernel {
 	k := &Kernel{
-		byName:         make(map[string]*Controller),
-		byBackend:      make(map[string]int, len(backends)),
-		placement:      Pinned{},
-		placeGen:       -1, // first refresh always runs
-		detachedTotals: make(map[string]float64),
+		byName:    make(map[string]*Controller),
+		byBackend: make(map[string]int, len(backends)),
+		placement: Pinned{},
+		placeGen:  -1, // first refresh always runs
+		accounts:  make(map[string]*account),
 	}
 	for i, be := range backends {
 		name := fmt.Sprintf("b%d", i)
@@ -485,7 +477,8 @@ func (k *Kernel) BackendStats() []BackendStats {
 // direct metric pushes and adaptation counters). Attaching while the
 // kernel is running is allowed: the app is patched into the running
 // loops at the next quiescent epoch boundary (watch ServedGeneration to
-// observe admission).
+// observe admission). Its offered work accrues to its name's ledger
+// account, which a re-attached name shares with its earlier lifetimes.
 func (k *Kernel) Attach(spec AppSpec) (*Controller, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("runtime: attach: %w", ErrEmptyAppName)
@@ -496,9 +489,9 @@ func (k *Kernel) Attach(spec AppSpec) (*Controller, error) {
 		return nil, fmt.Errorf("runtime: attach %q: %w", spec.Name, ErrDuplicateApp)
 	}
 	ctl := NewController(spec)
+	ctl.acct = k.openAccountLocked(spec.Name)
 	k.apps = append(k.apps, ctl)
 	k.byName[spec.Name] = ctl
-	k.ledgerChangedLocked()
 	k.membershipChangedLocked()
 	return ctl, nil
 }
@@ -506,8 +499,8 @@ func (k *Kernel) Attach(spec AppSpec) (*Controller, error) {
 // Detach removes an application by name. Detaching while the kernel is
 // running is allowed: the app leaves the loops at the next quiescent
 // epoch boundary — after the epoch carrying any batch it already
-// submitted has run, so that batch is never dropped. Cumulative totals
-// for the app are retained.
+// submitted has run, so that batch is never dropped. The name's ledger
+// account stays, and that batch still lands in it.
 func (k *Kernel) Detach(name string) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -526,10 +519,6 @@ func (k *Kernel) Detach(name string) error {
 	}
 	k.apps = apps
 	delete(k.byName, name)
-	// The controller's drained final epoch may still commit totals; park
-	// it until the engine quiesces, then fold into detachedTotals.
-	k.pendingRetire = append(k.pendingRetire, gone)
-	k.ledgerChangedLocked()
 	k.membershipChangedLocked()
 	return nil
 }
@@ -886,7 +875,7 @@ func (k *Kernel) routeAndCommit(dt float64, contribs []contribution, observed bo
 		if observed {
 			perApp[c.ctl.Name()] += sum // every contributor appears, even with zero work
 		}
-		c.ctl.addTotal(sum)
+		c.ctl.acct.add(sum)
 		if fallback < 0 {
 			continue // write-off epoch: account, don't route
 		}
@@ -1193,8 +1182,13 @@ func (sh *shard) tick(k *Kernel) {
 // change also waits for in-flight Workload calls to return before it is
 // patched in (the boundary needs every loop quiescent), so a stalled
 // workload delays admission of newly attached apps.
+//
+// Start waits out an in-flight RunEpoch (the modes share the epoch
+// scratch), so a synchronous epoch parked under ParkAndRetry delays it.
 func (k *Kernel) Start(ctx context.Context, opts Options) error {
 	opts = opts.withDefaults()
+	k.syncMu.Lock() // same order as RunEpoch and completeDrain: syncMu, then mu
+	defer k.syncMu.Unlock()
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.running {
@@ -1358,7 +1352,6 @@ func (k *Kernel) Stop() {
 	k.cancel = nil
 	k.running = false
 	k.memChanged = nil // the supervisor that armed it is gone
-	k.foldRetiredLocked()
 	k.mu.Unlock()
 }
 

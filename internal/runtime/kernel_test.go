@@ -427,6 +427,64 @@ func TestKernelRestart(t *testing.T) {
 	}
 }
 
+// TestStartWaitsForRunEpoch: Start called while a synchronous RunEpoch
+// is in flight waits for it instead of launching loops that share its
+// epoch scratch and reply channels — the RunEpoch loop then sees
+// ErrRunning, the concurrent epochs advance and Stop returns.
+func TestStartWaitsForRunEpoch(t *testing.T) {
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fn()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still blocked after 10s", what)
+		}
+	}
+	for round := 0; round < 50; round++ {
+		k := NewKernel(testManager(2), testManager(2))
+		for i := 0; i < 8; i++ {
+			gen := simhpc.NewWorkloadGen(uint64(61 + i))
+			if _, err := k.Attach(simpleSpec(fmt.Sprintf("app%d", i), gen, 2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := make(chan struct{})
+		syncDone := make(chan error, 1)
+		go func() {
+			for n := 0; ; n++ {
+				_, err := k.RunEpoch(60)
+				if n == 0 {
+					close(first)
+				}
+				if err != nil {
+					syncDone <- err
+					return
+				}
+			}
+		}()
+		<-first // the next RunEpoch is about to start, or running
+		if err := k.Start(context.Background(), Options{Flush: time.Millisecond}); err != nil {
+			t.Fatalf("round %d: start: %v", round, err)
+		}
+		within("RunEpoch loop", func() {
+			if err := <-syncDone; !errors.Is(err, ErrRunning) {
+				t.Errorf("round %d: RunEpoch after Start: %v, want ErrRunning", round, err)
+			}
+		})
+		want := k.Epochs() + 3
+		waitFor(t, "concurrent epochs", func() bool { return k.Epochs() >= want })
+		within("Stop", k.Stop)
+		if err := k.Err(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+}
+
 // TestKernelScratchReuseAcrossRestarts: the epoch engine's reused
 // scratch buffers (merged-task slice, fan-out contributions, per-app
 // done channels) must not leak state across Start/Stop cycles or

@@ -1,18 +1,17 @@
 package runtime
 
 import (
+	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 )
 
-// The ledger is the per-app account of offered work. An app's
-// cumulative total lives in up to three places: detachedTotals (the
-// folded totals of controllers retired under that name), pendingRetire
-// (detached controllers whose drained final epoch may still commit)
-// and the live controller. Every read sums them in one association —
-// detached, then each pending controller in detach order, then the live
-// one — the order foldRetiredLocked itself adds in, so a read taken
-// before a fold and one taken after it are bit-identical.
+// The ledger is one account of offered work per app name, opened by the
+// name's first Attach and never closed. Every controller attached under
+// the name adds its contributions there in commit order, so a name's
+// total is the running sum of what its workloads offered, across
+// detach/re-attach lifetimes.
 
 // AppTotal is one application's cumulative offered GFlop.
 type AppTotal struct {
@@ -20,44 +19,46 @@ type AppTotal struct {
 	GFlop float64
 }
 
-// ledgerIndex is an immutable, name-sorted view of where each app's
-// total lives. It is rebuilt (lazily, by the next reader) only when
-// ledgerVer moves — on Attach, Detach and a non-empty fold — so between
-// membership changes a full read is one pass of atomic loads.
+// account is one app name's cumulative offered GFlop as float bits:
+// the epoch engine adds through a CAS loop, readers load it lock-free.
+type account struct {
+	name  string
+	total atomic.Uint64
+}
+
+func (a *account) add(g float64) {
+	for {
+		old := a.total.Load()
+		next := math.Float64bits(math.Float64frombits(old) + g)
+		if a.total.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+func (a *account) gflop() float64 { return math.Float64frombits(a.total.Load()) }
+
+// ledgerIndex is an immutable, name-sorted view of the accounts,
+// rebuilt lazily by the next reader once a new name moves ledgerVer.
 type ledgerIndex struct {
-	version int64
-	entries []ledgerEntry
+	version  int64
+	accounts []*account
 }
 
-// ledgerEntry is one name's sources, in summation order.
-type ledgerEntry struct {
-	name    string
-	base    float64       // detachedTotals[name], 0 when absent
-	pending []*Controller // pending-retire controllers, detach order
-	live    *Controller   // nil once detached
-}
-
-// total sums the entry's sources in the ledger's association order.
-// A pending controller's total may still grow until the next fold and
-// is final after it, so an index that predates the fold adds the same
-// values in the same order as the fold did: the same bits.
-func (e *ledgerEntry) total() float64 {
-	g := e.base
-	for _, ctl := range e.pending {
-		g += ctl.totalGFlop()
+// openAccountLocked returns name's account, opening it on the name's
+// first Attach. Callers hold k.mu.
+func (k *Kernel) openAccountLocked(name string) *account {
+	if a := k.accounts[name]; a != nil {
+		return a
 	}
-	if e.live != nil {
-		g += e.live.totalGFlop()
-	}
-	return g
+	a := &account{name: name}
+	k.accounts[name] = a
+	k.ledgerVer.Add(1)
+	return a
 }
 
-// ledgerChangedLocked invalidates the ledger index. Callers hold k.mu.
-func (k *Kernel) ledgerChangedLocked() { k.ledgerVer.Add(1) }
-
-// currentLedger returns an index current as of the call: the cached one
-// when no membership change or fold happened since it was built,
-// otherwise a fresh one built under k.mu.
+// currentLedger returns the cached index, or rebuilds it under k.mu
+// when an account was opened since.
 func (k *Kernel) currentLedger() *ledgerIndex {
 	if idx := k.ledger.Load(); idx != nil && idx.version == k.ledgerVer.Load() {
 		return idx
@@ -68,95 +69,50 @@ func (k *Kernel) currentLedger() *ledgerIndex {
 	if idx := k.ledger.Load(); idx != nil && idx.version == ver {
 		return idx // another reader rebuilt it first
 	}
-	pos := make(map[string]int, len(k.detachedTotals)+len(k.apps))
-	entries := make([]ledgerEntry, 0, len(k.detachedTotals)+len(k.apps))
-	entry := func(name string) *ledgerEntry {
-		i, ok := pos[name]
-		if !ok {
-			i = len(entries)
-			pos[name] = i
-			entries = append(entries, ledgerEntry{name: name})
-		}
-		return &entries[i]
+	accounts := make([]*account, 0, len(k.accounts))
+	for _, a := range k.accounts {
+		accounts = append(accounts, a)
 	}
-	for name, g := range k.detachedTotals {
-		entry(name).base = g
-	}
-	for _, ctl := range k.pendingRetire {
-		e := entry(ctl.Name())
-		e.pending = append(e.pending, ctl)
-	}
-	for _, ctl := range k.apps {
-		entry(ctl.Name()).live = ctl
-	}
-	slices.SortFunc(entries, func(a, b ledgerEntry) int { return strings.Compare(a.name, b.name) })
-	idx := &ledgerIndex{version: ver, entries: entries}
+	slices.SortFunc(accounts, func(a, b *account) int { return strings.Compare(a.name, b.name) })
+	idx := &ledgerIndex{version: ver, accounts: accounts}
 	k.ledger.Store(idx)
 	return idx
 }
 
 // AppendTotals appends every application's cumulative offered GFlop to
 // dst in name order (byte-wise, as sort.Strings orders) and returns the
-// extended slice. It carries exactly TotalsPerApp's content — detached
-// apps keep their entries, a re-attached name sums every lifetime, and
-// each total has the same bits — but without k.mu or a map: while
-// membership is unchanged it is one pass of atomic loads and allocates
-// only when dst must grow. The feed renderer calls it once per event.
+// extended slice: TotalsPerApp's content, bit for bit, without k.mu or
+// a map — unless a new name was attached it is one pass of atomic loads
+// and allocates only when dst must grow. The feed renderer calls it once
+// per event.
 func (k *Kernel) AppendTotals(dst []AppTotal) []AppTotal {
-	idx := k.currentLedger()
-	for i := range idx.entries {
-		e := &idx.entries[i]
-		dst = append(dst, AppTotal{Name: e.name, GFlop: e.total()})
+	for _, a := range k.currentLedger().accounts {
+		dst = append(dst, AppTotal{Name: a.name, GFlop: a.gflop()})
 	}
 	return dst
 }
 
 // TotalsPerApp returns the cumulative GFlop each application has
 // offered to the manager (the manager's own telemetry tracks how much
-// was executed vs deferred). Detached apps keep their entries; an app
-// detached and re-attached under the same name sums both lifetimes.
+// was executed vs deferred). Detached apps keep their entries; a name
+// detached and re-attached keeps one running sum.
 func (k *Kernel) TotalsPerApp() map[string]float64 {
-	idx := k.currentLedger()
-	out := make(map[string]float64, len(idx.entries))
-	for i := range idx.entries {
-		e := &idx.entries[i]
-		out[e.name] = e.total()
+	accounts := k.currentLedger().accounts
+	out := make(map[string]float64, len(accounts))
+	for _, a := range accounts {
+		out[a.name] = a.gflop()
 	}
 	return out
 }
 
 // TotalFor returns one application's cumulative offered GFlop — the
 // O(1) read for per-app status endpoints, where TotalsPerApp's full
-// map copy would be per-request O(apps). The total lives on the
-// controller as an atomic, so the read never touches a commit lock.
+// map copy would be per-request O(apps); 0 for a name never attached.
 func (k *Kernel) TotalFor(name string) float64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	g := k.detachedTotals[name]
-	for _, ctl := range k.pendingRetire {
-		if ctl.Name() == name {
-			g += ctl.totalGFlop()
-		}
+	if a := k.accounts[name]; a != nil {
+		return a.gflop()
 	}
-	if ctl := k.byName[name]; ctl != nil {
-		g += ctl.totalGFlop()
-	}
-	return g
-}
-
-// foldRetiredLocked folds the totals of detached controllers into the
-// detachedTotals map. Callers hold k.mu and know the epoch engine is
-// quiescent (supervisor between generations, sync driver between
-// epochs, Stop after the supervisor exits) — a parked controller can
-// commit nothing further, so its total is final.
-func (k *Kernel) foldRetiredLocked() {
-	if len(k.pendingRetire) == 0 {
-		return
-	}
-	for _, ctl := range k.pendingRetire {
-		k.detachedTotals[ctl.Name()] += ctl.totalGFlop()
-	}
-	clear(k.pendingRetire)
-	k.pendingRetire = k.pendingRetire[:0]
-	k.ledgerChangedLocked()
+	return 0
 }

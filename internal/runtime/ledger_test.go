@@ -11,44 +11,50 @@ import (
 	"repro/internal/simhpc"
 )
 
-// fixedWorkSpec is an app offering one task of g GFlop every epoch, so
-// its total after n epochs is a known float sum.
-func fixedWorkSpec(name string, g float64) AppSpec {
-	return AppSpec{
-		Name: name,
-		Workload: func() ([]*simhpc.Task, error) {
-			return []*simhpc.Task{{GFlop: g, MemGB: 1}}, nil
-		},
-	}
+// shadow is the tests' own account of offered work, kept without
+// looking inside the kernel: every workload it builds adds what it
+// offers to its name's running sum as it is called, and a name is in
+// the shadow from its first spec on, as it is in the ledger from its
+// first Attach.
+type shadow struct {
+	mu sync.Mutex
+	g  map[string]float64
 }
 
-// referenceTotals is the ledger read without the index: a map filled
-// under k.mu in the documented association — detached, then each
-// pending-retire controller in detach order, then the live one.
-func referenceTotals(k *Kernel) map[string]float64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make(map[string]float64, len(k.detachedTotals)+len(k.apps))
-	for n, g := range k.detachedTotals {
-		out[n] = g
+func newShadow() *shadow { return &shadow{g: map[string]float64{}} }
+
+// spec is an app whose i-th workload call offers one task of
+// gs[i mod len(gs)] GFlop (nothing at all when gs is empty).
+func (s *shadow) spec(name string, gs ...float64) AppSpec {
+	s.mu.Lock()
+	s.g[name] += 0
+	s.mu.Unlock()
+	spec := AppSpec{Name: name}
+	if len(gs) == 0 {
+		return spec
 	}
-	for _, ctl := range k.pendingRetire {
-		out[ctl.Name()] += ctl.totalGFlop()
+	calls := 0
+	spec.Workload = func() ([]*simhpc.Task, error) {
+		g := gs[calls%len(gs)]
+		calls++
+		s.mu.Lock()
+		s.g[name] += g
+		s.mu.Unlock()
+		return []*simhpc.Task{{GFlop: g, MemGB: 1}}, nil
 	}
-	for _, ctl := range k.apps {
-		out[ctl.Name()] += ctl.totalGFlop()
-	}
-	return out
+	return spec
 }
 
-// checkLedger asserts AppendTotals is name-sorted and bit-identical to
-// the reference read, and that TotalsPerApp and TotalFor agree with it.
-func checkLedger(t *testing.T, k *Kernel, stage string) []AppTotal {
+// checkLedger asserts, with the engine quiescent, that AppendTotals is
+// name-sorted and bit-identical to the shadow, and that TotalsPerApp
+// and TotalFor agree with it.
+func checkLedger(t *testing.T, k *Kernel, sh *shadow, stage string) []AppTotal {
 	t.Helper()
-	want := referenceTotals(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	got := k.AppendTotals(nil)
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d totals, want %d", stage, len(got), len(want))
+	if len(got) != len(sh.g) {
+		t.Fatalf("%s: %d totals, shadow has %d", stage, len(got), len(sh.g))
 	}
 	tp := k.TotalsPerApp()
 	for i, at := range got {
@@ -56,8 +62,8 @@ func checkLedger(t *testing.T, k *Kernel, stage string) []AppTotal {
 			t.Errorf("%s: %q before %q: not name-sorted", stage, got[i-1].Name, at.Name)
 		}
 		bits := math.Float64bits(at.GFlop)
-		if w, ok := want[at.Name]; !ok || math.Float64bits(w) != bits {
-			t.Errorf("%s: %q = %v, reference %v", stage, at.Name, at.GFlop, w)
+		if w, ok := sh.g[at.Name]; !ok || math.Float64bits(w) != bits {
+			t.Errorf("%s: %q = %v, shadow %v", stage, at.Name, at.GFlop, w)
 		}
 		if math.Float64bits(tp[at.Name]) != bits {
 			t.Errorf("%s: TotalsPerApp[%q] = %v, AppendTotals %v", stage, at.Name, tp[at.Name], at.GFlop)
@@ -69,25 +75,17 @@ func checkLedger(t *testing.T, k *Kernel, stage string) []AppTotal {
 	return got
 }
 
-// TestAppendTotalsLedgerOrder walks one name through every place a
-// total can live — live, pending-retire twice over with a live
-// successor, folded — with per-epoch amounts whose sums depend on the
-// association in the last bit, and checks the index read against the
-// reference at each step, and that the fold itself changes no bit.
+// TestAppendTotalsLedgerOrder walks names through detach and re-attach
+// with per-epoch amounts whose sums depend on the association in the
+// last bit, and checks the ledger against the shadow at each step: a
+// name's total is the running sum of its contributions in the order
+// they were offered, whatever lifetime offered them — not a sum of
+// per-lifetime subtotals.
 func TestAppendTotalsLedgerOrder(t *testing.T) {
 	k := NewKernel(testManager(2))
-	if got := checkLedger(t, k, "empty"); len(got) != 0 {
+	sh := newShadow()
+	if got := checkLedger(t, k, sh, "empty"); len(got) != 0 {
 		t.Fatalf("empty kernel reports %v", got)
-	}
-	for _, spec := range []AppSpec{
-		fixedWorkSpec("zeta", 0.1),
-		fixedWorkSpec("alpha", 0.2),
-		fixedWorkSpec("mid", 1e-7),
-		fixedWorkSpec("idle", 0),
-	} {
-		if _, err := k.Attach(spec); err != nil {
-			t.Fatal(err)
-		}
 	}
 	run := func(n int) {
 		t.Helper()
@@ -97,89 +95,64 @@ func TestAppendTotalsLedgerOrder(t *testing.T) {
 			}
 		}
 	}
-	run(3)
-	checkLedger(t, k, "live")
-
-	// zeta: detach, re-attach with another amount, run (folds the first
-	// lifetime), detach again, re-attach again — now one folded base, one
-	// pending controller and a live one.
-	if err := k.Detach("zeta"); err != nil {
-		t.Fatal(err)
-	}
-	checkLedger(t, k, "pending")
-	if _, err := k.Attach(fixedWorkSpec("zeta", 0.3)); err != nil {
-		t.Fatal(err)
-	}
-	checkLedger(t, k, "pending+live")
-	run(2)
-	if err := k.Detach("zeta"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Attach(fixedWorkSpec("zeta", 0.7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Detach("alpha"); err != nil {
-		t.Fatal(err)
-	}
-	before := checkLedger(t, k, "base+pending+live")
-
-	k.mu.Lock()
-	k.foldRetiredLocked()
-	k.mu.Unlock()
-	after := checkLedger(t, k, "folded")
-	if len(after) != len(before) {
-		t.Fatalf("fold changed the roster: %v -> %v", before, after)
-	}
-	for i := range before {
-		if before[i].Name != after[i].Name || math.Float64bits(before[i].GFlop) != math.Float64bits(after[i].GFlop) {
-			t.Errorf("fold moved %q: %v -> %v", before[i].Name, before[i].GFlop, after[i].GFlop)
+	attach := func(spec AppSpec) {
+		t.Helper()
+		if _, err := k.Attach(spec); err != nil {
+			t.Fatal(err)
 		}
 	}
-	run(1)
-	checkLedger(t, k, "after fold")
+	detach := func(name string) {
+		t.Helper()
+		if err := k.Detach(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attach(sh.spec("zeta", 0.1))
+	attach(sh.spec("alpha", 0.2))
+	attach(sh.spec("mid", 1e-7))
+	attach(sh.spec("idle"))
+	run(3)
+	checkLedger(t, k, sh, "live")
 
-	// The engine folds a pending controller before its successor runs an
-	// epoch, so base, pending and live are never all non-zero through
-	// RunEpoch. Credit the controllers directly to pin the association
-	// where it shows: (0.1 + 0.2) + 1e-7 and (0.1 + 1e-7) + 0.2 differ
-	// in the last bit.
-	first, err := k.Attach(AppSpec{Name: "assoc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.addTotal(0.1)
-	if err := k.Detach("assoc"); err != nil {
-		t.Fatal(err)
-	}
-	k.mu.Lock()
-	k.foldRetiredLocked()
-	k.mu.Unlock()
-	second, err := k.Attach(AppSpec{Name: "assoc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second.addTotal(0.2)
-	if err := k.Detach("assoc"); err != nil {
-		t.Fatal(err)
-	}
-	live, err := k.Attach(AppSpec{Name: "assoc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live.addTotal(1e-7)
-	checkLedger(t, k, "base+pending+live, all non-zero")
-	base, pending, cur := 0.1, 0.2, 1e-7 // variables: float64 arithmetic, not exact constants
-	if got, want := k.TotalFor("assoc"), (base+pending)+cur; got != want {
-		t.Errorf("assoc total %v, want %v (base, then pending, then live)", got, want)
+	// zeta: 0.1 three times, then a second lifetime offering 0.3 twice.
+	// Running, ((0.1+0.1+0.1) + 0.3) + 0.3 is 0.9000000000000001; summed
+	// per lifetime it would read (0.1+0.1+0.1) + (0.3+0.3) = 0.9.
+	detach("zeta")
+	checkLedger(t, k, sh, "detached")
+	attach(sh.spec("zeta", 0.3))
+	checkLedger(t, k, sh, "re-attached")
+	run(2)
+	checkLedger(t, k, sh, "second lifetime")
+	detach("zeta")
+	attach(sh.spec("zeta", 0.7))
+	detach("alpha")
+	checkLedger(t, k, sh, "third lifetime, alpha detached")
+	run(1)
+	checkLedger(t, k, sh, "third lifetime ran")
+
+	// assoc: 0.2, then a lifetime offering 0.1 and 1e-7. Running,
+	// (0.2+0.1) + 1e-7; per lifetime, 0.2 + (0.1+1e-7): they differ in
+	// the last bit.
+	attach(sh.spec("assoc", 0.2))
+	run(1)
+	detach("assoc")
+	attach(sh.spec("assoc", 0.1, 1e-7))
+	run(2)
+	checkLedger(t, k, sh, "assoc, two lifetimes")
+	a, b, c := 0.2, 0.1, 1e-7 // variables: float64 arithmetic, not exact constants
+	if got, want := k.TotalFor("assoc"), (a+b)+c; got != want {
+		t.Errorf("assoc total %v, want %v (the running sum)", got, want)
 	}
 }
 
-// TestAppendTotalsSteadyStateNoAlloc: with membership unchanged a full
-// ledger read is a pass of atomic loads into the caller's slice.
+// TestAppendTotalsSteadyStateNoAlloc: unless a new name was attached a
+// full ledger read is a pass of atomic loads into the caller's slice —
+// detaching and re-attaching a known name keeps the index.
 func TestAppendTotalsSteadyStateNoAlloc(t *testing.T) {
 	k := NewKernel(testManager(2))
+	sh := newShadow()
 	for i := 0; i < 64; i++ {
-		if _, err := k.Attach(fixedWorkSpec(fmt.Sprintf("app%02d", i), 1)); err != nil {
+		if _, err := k.Attach(sh.spec(fmt.Sprintf("app%02d", i), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,16 +163,31 @@ func TestAppendTotalsSteadyStateNoAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { buf = k.AppendTotals(buf[:0]) }); allocs != 0 {
 		t.Errorf("steady-state AppendTotals allocates %.1f, want 0", allocs)
 	}
+	idx := k.currentLedger()
+	if err := k.Detach("app07"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Attach(sh.spec("app07", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.RunEpoch(60); err != nil {
+		t.Fatal(err)
+	}
+	if k.currentLedger() != idx {
+		t.Error("detaching and re-attaching a known name rebuilt the ledger index")
+	}
+	checkLedger(t, k, sh, "re-attached")
 }
 
 // TestAppendTotalsUnderChurn: readers racing a running kernel's
 // attach/detach churn always see a name-sorted ledger whose per-name
-// totals never step backwards — a stale index read across a detach or
-// a fold sums the same controllers in the same order.
+// totals never step backwards, and once the kernel stops every churned
+// name reads the running sum of all its lifetimes' workloads.
 func TestAppendTotalsUnderChurn(t *testing.T) {
 	k := NewKernel(testManager(2))
+	sh := newShadow()
 	for _, name := range []string{"steady-a", "steady-b"} {
-		if _, err := k.Attach(fixedWorkSpec(name, 0.1)); err != nil {
+		if _, err := k.Attach(sh.spec(name, 0.1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +227,7 @@ func TestAppendTotalsUnderChurn(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		name := fmt.Sprintf("churn%d", i%5)
-		if _, err := k.Attach(fixedWorkSpec(name, 0.3)); err != nil {
+		if _, err := k.Attach(sh.spec(name, 0.3)); err != nil {
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
@@ -252,5 +240,5 @@ func TestAppendTotalsUnderChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	k.Stop()
-	checkLedger(t, k, "after churn")
+	checkLedger(t, k, sh, "after churn")
 }

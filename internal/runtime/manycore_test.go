@@ -111,8 +111,7 @@ func TestDetachDrainManyCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Zero observation loss: every offered GFlop is in the ledger —
-	// detached apps' totals fold into the detached ledger, survivors
-	// keep theirs.
+	// detached apps keep their accounts beside the survivors'.
 	totals := k.TotalsPerApp()
 	for i := 0; i < 32; i++ {
 		name := fmt.Sprintf("app%d", i)

@@ -71,13 +71,12 @@ func dealApps(shards []*shard, apps []*Controller) {
 	}
 }
 
-// epochViewLocked settles what the next epochs run over: retired
-// totals folded, apps re-placed, the executor pointed at the current
-// backend set and its steering hook. Callers hold k.mu, and the epoch
+// epochViewLocked settles what the next epochs run over: apps
+// re-placed, the executor pointed at the current backend set and its
+// steering hook. Callers hold k.mu, and the epoch
 // engine is quiescent (sync driver before its epoch, supervisor between
 // generations, a patch at its boundary).
 func (k *Kernel) epochViewLocked() {
-	k.foldRetiredLocked()
 	k.refreshPlacementLocked()
 	k.epochBackends = k.backends
 	k.epochObserver = nil
