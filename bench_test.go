@@ -1372,7 +1372,6 @@ end
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer kp.Close()
 		kb := kernelrt.KnobFunc(func(cfg autotune.Config) {
 			if v, ok := cfg["level"]; ok {
 				levelBits.Store(math.Float64bits(v))

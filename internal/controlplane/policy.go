@@ -23,20 +23,12 @@ const (
 
 // appPolicy is the server-side record of one installed policy arm:
 // the canonical wire spec (what GET reports), and for the DSL arm the
-// compiled program plus its live VM-backed instance (closed on swap or
-// detach — an isolation-classified policy owns a worker goroutine).
+// compiled program plus its live VM-backed instance. An instance owns
+// no goroutine, so a swapped-out or detached one is simply dropped.
 type appPolicy struct {
 	spec PolicySpec
 	prog *policyc.Program     // nil for ladder
 	kp   policyc.KernelPolicy // nil for ladder
-}
-
-// close releases the policy instance's resources. Safe on the ladder
-// arm (nothing to release).
-func (ap *appPolicy) close() {
-	if ap != nil && ap.kp != nil {
-		_ = ap.kp.Close()
-	}
 }
 
 // rejectLegacyLevels refuses the removed top-level "levels" alias. It
@@ -188,8 +180,8 @@ func installPolicy(ra *remoteApp, ap *appPolicy) {
 // app keeps its inbox, metric windows, totals and tick counters, and no
 // decision is computed half by the old policy and half by the new one.
 // Swapping also clears a quarantine: replacing the crashed component is
-// the recovery path. The outgoing policy instance is closed after the
-// swap. Responds 200 with the app's status (policy block included).
+// the recovery path. Responds 200 with the app's status (policy block
+// included).
 func (s *Server) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("id")
 	var p PolicySpec
@@ -232,13 +224,11 @@ func (s *Server) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.kernel.SwapPolicy(name, pol, knob); err != nil {
 		ra.pol.Store(old) // roll back the record; the kernel rejected the swap
 		s.mu.Unlock()
-		ap.close()
 		writeErr(w, err)
 		return
 	}
 	ra.swaps.Add(1)
 	s.mu.Unlock()
-	old.close()
 	// Journal after the swap is live, before the ack: an acked swap
 	// must survive a crash. On journal failure the swap stays live but
 	// unacked — write-ahead promises nothing about unacknowledged ops.

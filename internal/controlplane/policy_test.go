@@ -307,7 +307,7 @@ func TestPolicyIsolatedOverAPI(t *testing.T) {
 		t.Errorf("class reason = %q, want a cycle mention", st.Policy.ClassReason)
 	}
 	if err := c.Detach("runaway"); err != nil {
-		t.Fatal(err) // detach must close the isolation worker cleanly
+		t.Fatal(err) // the policy owns nothing detach must tear down
 	}
 }
 
@@ -420,7 +420,7 @@ func TestPolicyFuelMetrics(t *testing.T) {
 		t.Errorf("fuel_used_max %d < fuel_used_last %d", p.FuelUsedMax, p.FuelUsedLast)
 	}
 	// An inline policy reports no isolation accounting.
-	if p.Class == "inline" && (p.DeadlineDrops != 0 || p.DecisionDeadlineMS != 0) {
+	if p.Class == "inline" && (p.DeadlineDrops != 0 || p.DecisionDeadlineTicks != 0) {
 		t.Errorf("inline policy reports isolation metrics: %+v", p)
 	}
 	// The ladder arm reports no fuel accounting at all.
@@ -437,7 +437,8 @@ func TestPolicyFuelMetrics(t *testing.T) {
 }
 
 // TestPolicyDeadlineMetrics: an isolation-classified policy reports
-// its decision deadline through the status endpoint.
+// its decision deadline, counted in its own ticks, through the status
+// endpoint.
 func TestPolicyDeadlineMetrics(t *testing.T) {
 	_, c := newTestPlane(t)
 	st, err := c.Register(AppSpec{
@@ -450,7 +451,54 @@ func TestPolicyDeadlineMetrics(t *testing.T) {
 	if st.Policy == nil || st.Policy.Class != "isolated" {
 		t.Fatalf("policy = %+v, want isolated class", st.Policy)
 	}
-	if st.Policy.DecisionDeadlineMS <= 0 {
-		t.Errorf("decision_deadline_ms = %d, want the default deadline surfaced", st.Policy.DecisionDeadlineMS)
+	if st.Policy.DecisionDeadlineTicks != 10 {
+		t.Errorf("decision_deadline_ticks = %d, want 10", st.Policy.DecisionDeadlineTicks)
+	}
+}
+
+// TestIsolatedPolicyAdaptsUnderKernel: an isolated (apply dynamic)
+// policy's decision runs on a running kernel's tick and lands: the
+// level it writes is applied.
+func TestIsolatedPolicyAdaptsUnderKernel(t *testing.T) {
+	k, c := newTestPlane(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := k.Start(ctx, runtime.Options{Flush: 5 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	defer k.Stop()
+	st, err := c.Register(AppSpec{
+		Name:     "dynamic",
+		Window:   8,
+		Debounce: 1,
+		Goals:    []GoalSpec{{Metric: monitor.MetricLatency, Target: 1.0}},
+		Workload: WorkloadSpec{Tasks: 2, GFlop: 4},
+		Policy: &PolicySpec{Type: PolicyDSL, Source: `
+aspectdef Shed
+	apply dynamic
+		do Set('level', 0.25);
+	end
+	condition violation > 0 end
+end
+`},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Policy == nil || st.Policy.Class != "isolated" || st.Level != 1 {
+		t.Fatalf("registered %+v at level %g, want isolated at 1", st.Policy, st.Level)
+	}
+	if _, err := c.Observe("dynamic", []Observation{
+		{Metric: monitor.MetricLatency, Value: 5},
+		{Metric: monitor.MetricLatency, Value: 5},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the isolated decision applied", func() bool {
+		st, err = c.App("dynamic")
+		return err == nil && st.Adaptations > 0 && st.Level == 0.25
+	})
+	if p := st.Policy; p.Decisions < 1 || p.DeadlineDrops != 0 {
+		t.Errorf("policy status = %+v, want a decision and no drops", p)
 	}
 }

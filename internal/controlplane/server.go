@@ -554,9 +554,6 @@ func (s *Server) admitApp(spec AppSpec, journal bool) (*remoteApp, error) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		if ap != nil {
-			ap.close()
-		}
 		return nil, err
 	}
 	if journal {
@@ -631,9 +628,8 @@ func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
 	unlock := s.lockEntity(name)
 	defer unlock()
 	s.mu.Lock()
-	ra, known := s.apps[name]
 	var err error
-	if !known {
+	if _, known := s.apps[name]; !known {
 		err = fmt.Errorf("controlplane: %q: %w", name, runtime.ErrUnknownApp)
 	} else if err = s.kernel.Detach(name); err == nil {
 		delete(s.apps, name)
@@ -642,13 +638,6 @@ func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeErr(w, err)
 		return
-	}
-	// Release the policy's resources (an isolated DSL policy owns a
-	// worker goroutine) after membership is updated: the kernel drains
-	// the app at the next boundary, and Close serializes against any
-	// in-flight Decide.
-	if ap := ra.pol.Load(); ap != nil {
-		ap.close()
 	}
 	// Journal before the 204: an acked detach must survive a crash
 	// (replaying a restart that resurrects a detached tenant would be a
@@ -1003,7 +992,7 @@ func (s *Server) status(ra *remoteApp, totals map[string]float64) AppStatus {
 			ps.FuelUsedLast = m.FuelUsedLast
 			ps.FuelUsedMax = m.FuelUsedMax
 			ps.DeadlineDrops = m.DeadlineDrops
-			ps.DecisionDeadlineMS = m.DecisionDeadline.Milliseconds()
+			ps.DecisionDeadlineTicks = m.DecisionDeadlineTicks
 		}
 		st.Policy = ps
 	}

@@ -127,8 +127,9 @@ type PolicyStatus struct {
 	// program back.
 	SourceHash string `json:"source_hash,omitempty"`
 	// Class is the static-analysis verdict for dsl policies: "inline"
-	// (pure and bounded, runs on the epoch tick path) or "isolated"
-	// (runs on its own goroutine with a decision deadline).
+	// (pure and bounded: a decision runs whole in one tick) or
+	// "isolated" (a decision runs in bounded slices, one per tick, under
+	// a deadline counted in ticks).
 	Class string `json:"class,omitempty"`
 	// ClassReason explains the classification.
 	ClassReason string `json:"class_reason,omitempty"`
@@ -143,10 +144,11 @@ type PolicyStatus struct {
 	FuelBudget   int64 `json:"fuel_budget,omitempty"`
 	FuelUsedLast int64 `json:"fuel_used_last,omitempty"`
 	FuelUsedMax  int64 `json:"fuel_used_max,omitempty"`
-	// DeadlineDrops counts decisions an isolated policy discarded as
-	// staler than DecisionDeadlineMS when the tick collected them.
-	DeadlineDrops      int64 `json:"deadline_drops,omitempty"`
-	DecisionDeadlineMS int64 `json:"decision_deadline_ms,omitempty"`
+	// DecisionDeadlineTicks is how many ticks an isolated decision may
+	// span and still be applied; DeadlineDrops counts completed ones
+	// that spanned more. Both are omitted for inline policies.
+	DeadlineDrops         int64 `json:"deadline_drops,omitempty"`
+	DecisionDeadlineTicks int64 `json:"decision_deadline_ticks,omitempty"`
 }
 
 // BackendSpec declares one resource-manager backend — a simulated

@@ -7,15 +7,16 @@ import (
 )
 
 // inlineCostBudget is the worst-case cycle cost above which a policy
-// is pushed off the epoch tick path. The bar is deliberately low: an
-// inline decision runs inside the commit window the epoch protocols
-// fight to keep short, so only small, loop-free strategies qualify.
+// no longer runs a decision in one tick, and the slice an isolated
+// policy runs per tick instead. The bar is deliberately low: a decision
+// runs inside the commit window the epoch fights to keep short, so only
+// small, loop-free strategies finish in one go.
 const inlineCostBudget = 4096
 
 // isolatedFuel is the per-decision fuel budget for isolated policies,
 // whose worst-case cost is unbounded (call cycles) or over budget. Big
 // enough for any sane strategy, small enough that a runaway policy
-// dies in microseconds.
+// dies within 256 slices.
 const isolatedFuel = 1 << 20
 
 // externCost is the budgeted cost of one set/scale/hold extern body,

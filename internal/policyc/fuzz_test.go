@@ -1,6 +1,8 @@
 package policyc
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,9 +12,11 @@ import (
 // FuzzCompile is the front door for hostile tenant source: whatever
 // bytes arrive over POST /v1/apps, Compile must return a program or a
 // *CompileError — never panic, never hang. When compilation succeeds,
-// the program must also instantiate and survive one decision without
-// panicking (inline policies) so fuzz coverage reaches the VM
-// marshalling layer too.
+// the program must also instantiate, and its first decision — driven
+// through Decide in 7-cycle slices until it finishes or panics, so any
+// program, inline or isolated, is suspended mid-decision — must equal
+// the same decision run in one go. Fuzz coverage so reaches the VM
+// marshalling layer and the resumable VM.
 func FuzzCompile(f *testing.F) {
 	f.Add(steerSrc)
 	f.Add("aspectdef A\nend")
@@ -34,23 +38,36 @@ func FuzzCompile(f *testing.F) {
 			}
 			return
 		}
-		if p.Class == Isolated {
-			// Skip instantiation: isolated workers are async and a
-			// fuzz iteration should not leave goroutines behind.
-			return
+		sliced := decideOnce(t, p, 7)
+		if oneShot := decideOnce(t, p, math.MaxInt64); sliced != oneShot {
+			t.Fatalf("sliced decision %s, one-shot %s", sliced, oneShot)
 		}
-		pol, err := New(p, Options{})
-		if err != nil {
-			t.Fatalf("New on compiled program: %v", err)
+	})
+}
+
+// decideOnce runs one decision of a fresh instance of p, slice cycles
+// per Decide, until it leaves flight, and renders its outcome. The
+// deadline is lifted so a long decision is honoured. A quarantine panic
+// (fuel, depth) is valid runtime behaviour, not a front-door bug: it is
+// the outcome.
+func decideOnce(t *testing.T, p *Program, slice int64) (out string) {
+	pol, err := New(p, Options{})
+	if err != nil {
+		t.Fatalf("New on compiled program: %v", err)
+	}
+	vp := pol.(*VMPolicy)
+	vp.deadline, vp.slice = math.MaxInt, slice
+	defer func() {
+		if r := recover(); r != nil {
+			out = fmt.Sprintf("panic %v after %d cycles", r, vp.vm.Cycles)
 		}
-		defer pol.Close()
-		defer func() {
-			// A quarantine panic (fuel, depth) is valid runtime
-			// behaviour, not a compile front-door bug.
-			recover()
-		}()
-		pol.Decide(monitor.Decision{Adapt: true, Violation: 1}, map[string]monitor.Summary{
+	}()
+	for {
+		cfg, ok := pol.Decide(monitor.Decision{Adapt: true, Violation: 1}, map[string]monitor.Summary{
 			"latency": {Count: 1, Mean: 1, P95: 1},
 		})
-	})
+		if !vp.inflight {
+			return fmt.Sprintf("%v %v after %d cycles", cfg, ok, vp.vm.Cycles)
+		}
+	}
 }

@@ -2,10 +2,10 @@ package policyc
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/autotune"
 	"repro/internal/ir"
@@ -13,11 +13,11 @@ import (
 )
 
 // KernelPolicy is what New returns. Decide matches runtime.Policy
-// structurally — the kernel accepts these without policyc importing
-// the runtime package. Close releases any isolation goroutine; it is
-// idempotent and must be called when the policy is swapped out or the
-// app detaches. Metrics is a lock-free snapshot of the instance's
-// execution counters, safe to call concurrently with Decide.
+// structurally — the kernel accepts these without policyc importing the
+// runtime package. A policy owns no goroutine or resource: dropping it
+// is enough, and Close, kept for existing callers, does nothing.
+// Metrics is a lock-free snapshot of the execution counters, safe to
+// call concurrently with Decide.
 type KernelPolicy interface {
 	Decide(d monitor.Decision, sums map[string]monitor.Summary) (autotune.Config, bool)
 	Metrics() Metrics
@@ -39,11 +39,10 @@ type Metrics struct {
 	FuelUsedLast int64
 	FuelUsedMax  int64
 	// DeadlineDrops counts completed decisions an isolated policy
-	// discarded because they were older than DecisionDeadline when the
-	// tick came to collect them. Zero for inline policies, whose
-	// decisions run on the tick path itself.
-	DeadlineDrops    int64
-	DecisionDeadline time.Duration
+	// discarded for spanning more than DecisionDeadlineTicks Decide
+	// calls. Both are zero for inline policies.
+	DeadlineDrops         int64
+	DecisionDeadlineTicks int64
 }
 
 // Options configures policy instantiation.
@@ -53,37 +52,28 @@ type Options struct {
 	// KnobValue supplies the current value of a knob for bare-name
 	// reads and Scale. Nil reads as 0.
 	KnobValue func(name string) float64
-	// DecisionDeadline bounds how stale an isolated policy's decision
-	// may be before it is dropped. Zero means 50ms. Ignored for inline
-	// policies.
-	DecisionDeadline time.Duration
 }
 
-const defaultDecisionDeadline = 50 * time.Millisecond
+// decisionDeadlineTicks bounds how many Decide calls an isolated
+// decision may span and still be honoured: the shipped 50 ms decision
+// deadline over the shipped 5 ms tick interval.
+const decisionDeadlineTicks = 10
 
-// New instantiates a compiled program as a kernel policy: a VMPolicy
-// for inline-classified programs, an IsolatedPolicy otherwise. Each
-// instance gets its own globals namespace, so one Program can back
-// many apps.
+// New instantiates a compiled program as a *VMPolicy with its own
+// globals namespace, so one Program can back many apps.
 func New(p *Program, opts Options) (KernelPolicy, error) {
 	if p == nil || p.Module == nil || p.Module.Funcs[p.Entry] == nil {
 		return nil, fmt.Errorf("policyc: program has no entry function")
 	}
-	vp := newVMPolicy(p, opts)
-	if p.Class == Isolated {
-		deadline := opts.DecisionDeadline
-		if deadline <= 0 {
-			deadline = defaultDecisionDeadline
-		}
-		return newIsolatedPolicy(vp, deadline), nil
-	}
-	return vp, nil
+	return newVMPolicy(p, opts), nil
 }
 
-// VMPolicy runs compiled bytecode synchronously on the tick path. Any
-// VM error — out of fuel, division by zero, NaN knob write — panics
-// out of Decide; the kernel's tick-path recover turns that into
-// per-app quarantine, exactly like a panicking Go policy.
+// VMPolicy runs compiled bytecode on the tick path: an inline decision
+// whole in one Decide, an isolated one in slices of inlineCostBudget
+// cycles — an inline decision's bound — one per Decide. Any VM error —
+// out of fuel, division by zero, NaN knob write — panics out of Decide;
+// the kernel's tick-path recover turns that into per-app quarantine,
+// exactly like a panicking Go policy.
 type VMPolicy struct {
 	mu   sync.Mutex
 	prog *Program
@@ -100,13 +90,22 @@ type VMPolicy struct {
 	refGlobals []string
 	readKnobs  [][2]string
 
-	// Execution counters. decide() runs serialized (under mu, or on
-	// the isolated worker goroutine), so plain load-then-store updates
-	// are safe; atomics let Metrics read without taking mu — a status
-	// endpoint must never queue behind a running decision.
+	// slice is the cycles one Decide may run. A decision in flight has
+	// spanned calls Decide calls and is honoured only within deadline;
+	// the globals hold the inputs it started with.
+	slice    int64
+	deadline int
+	inflight bool
+	calls    int
+
+	// Execution counters. Decide runs under mu, so plain load-then-
+	// store updates are safe; atomics let Metrics read without taking
+	// mu — a status endpoint must never queue behind a running
+	// decision.
 	decisions atomic.Int64
 	fuelLast  atomic.Int64
 	fuelMax   atomic.Int64
+	drops     atomic.Int64
 }
 
 func newVMPolicy(p *Program, opts Options) *VMPolicy {
@@ -119,8 +118,16 @@ func newVMPolicy(p *Program, opts Options) *VMPolicy {
 	vp := &VMPolicy{
 		prog:      p,
 		vm:        ir.NewVM(mod),
-		knobValue: opts.KnobValue,
+		knobValue: func(string) float64 { return 0 },
 		scratch:   make(map[string]float64, 2),
+		slice:     math.MaxInt64,
+		deadline:  decisionDeadlineTicks,
+	}
+	if p.Class == Isolated {
+		vp.slice = inlineCostBudget
+	}
+	if opts.KnobValue != nil {
+		vp.knobValue = opts.KnobValue
 	}
 	for _, ref := range p.Refs {
 		vp.refGlobals = append(vp.refGlobals, ref.global())
@@ -142,9 +149,7 @@ func newVMPolicy(p *Program, opts Options) *VMPolicy {
 	})
 	vp.vm.RegisterExtern(externHold, func(_ *ir.VM, _ []ir.Value) (ir.Value, error) {
 		vp.hold = true
-		for k := range vp.scratch {
-			delete(vp.scratch, k)
-		}
+		clear(vp.scratch)
 		return ir.NumValue(0), nil
 	})
 	return vp
@@ -158,7 +163,7 @@ func (vp *VMPolicy) externWrite(args []ir.Value, scale bool) (ir.Value, error) {
 	if scale {
 		base, staged := vp.scratch[name]
 		if !staged {
-			base = vp.readKnob(name)
+			base = vp.knobValue(name)
 		}
 		v = base * v
 	}
@@ -169,35 +174,30 @@ func (vp *VMPolicy) externWrite(args []ir.Value, scale bool) (ir.Value, error) {
 	return ir.NumValue(0), nil
 }
 
-func (vp *VMPolicy) readKnob(name string) float64 {
-	if vp.knobValue == nil {
-		return 0
-	}
-	return vp.knobValue(name)
-}
-
-// Decide implements runtime.Policy (structurally).
+// Decide implements runtime.Policy (structurally). With no decision
+// in flight it marshals the inputs and starts one; then it runs one
+// slice. A suspended or late decision returns no change.
 func (vp *VMPolicy) Decide(d monitor.Decision, sums map[string]monitor.Summary) (autotune.Config, bool) {
 	vp.mu.Lock()
 	defer vp.mu.Unlock()
-	cfg, ok, err := vp.decide(d, sums)
+	if !vp.inflight {
+		vp.marshalIn(d, sums)
+		vp.hold = false
+		clear(vp.scratch)
+		vp.vm.Fuel = vp.prog.Fuel
+		vp.vm.Start(vp.prog.Entry, vp.args...)
+		vp.inflight, vp.calls = true, 0
+	}
+	vp.calls++
+	done, _, err := vp.vm.Resume(vp.slice)
+	if !done {
+		return nil, false
+	}
+	vp.inflight = false
 	if err != nil {
 		// Degrade to quarantine via the tick-path recover, never
 		// stall a commit.
 		panic(fmt.Sprintf("policyc: policy %s: %v", vp.prog.AspectName, err))
-	}
-	return cfg, ok
-}
-
-func (vp *VMPolicy) decide(d monitor.Decision, sums map[string]monitor.Summary) (autotune.Config, bool, error) {
-	vp.marshalIn(d, sums)
-	vp.hold = false
-	for k := range vp.scratch {
-		delete(vp.scratch, k)
-	}
-	vp.vm.Fuel = vp.prog.Fuel
-	if _, err := vp.vm.Call(vp.prog.Entry, vp.args...); err != nil {
-		return nil, false, err
 	}
 	used := vp.prog.Fuel - vp.vm.Fuel
 	vp.decisions.Add(1)
@@ -205,14 +205,14 @@ func (vp *VMPolicy) decide(d monitor.Decision, sums map[string]monitor.Summary) 
 	if used > vp.fuelMax.Load() {
 		vp.fuelMax.Store(used)
 	}
+	if vp.calls > vp.deadline {
+		vp.drops.Add(1)
+		return nil, false
+	}
 	if vp.hold || len(vp.scratch) == 0 {
-		return nil, false, nil
+		return nil, false
 	}
-	cfg := make(autotune.Config, len(vp.scratch))
-	for k, v := range vp.scratch {
-		cfg[k] = v
-	}
-	return cfg, true, nil
+	return maps.Clone(vp.scratch), true
 }
 
 // marshalIn publishes only the globals the bytecode actually reads —
@@ -243,123 +243,24 @@ func (vp *VMPolicy) marshalIn(d monitor.Decision, sums map[string]monitor.Summar
 		g[vp.refGlobals[i]] = ir.NumValue(v)
 	}
 	for _, k := range vp.readKnobs {
-		g[k[0]] = ir.NumValue(vp.readKnob(k[1]))
+		g[k[0]] = ir.NumValue(vp.knobValue(k[1]))
 	}
 }
+
+// Close implements KernelPolicy; there is nothing to release.
+func (vp *VMPolicy) Close() error { return nil }
 
 // Metrics implements KernelPolicy.
 func (vp *VMPolicy) Metrics() Metrics {
-	return Metrics{
-		Decisions:    vp.decisions.Load(),
-		FuelBudget:   vp.prog.Fuel,
-		FuelUsedLast: vp.fuelLast.Load(),
-		FuelUsedMax:  vp.fuelMax.Load(),
+	m := Metrics{
+		Decisions:     vp.decisions.Load(),
+		FuelBudget:    vp.prog.Fuel,
+		FuelUsedLast:  vp.fuelLast.Load(),
+		FuelUsedMax:   vp.fuelMax.Load(),
+		DeadlineDrops: vp.drops.Load(), // an inline decision is never late
 	}
-}
-
-// Close implements KernelPolicy; inline policies hold no resources.
-func (vp *VMPolicy) Close() error { return nil }
-
-// IsolatedPolicy runs the VM on its own goroutine so an expensive or
-// dynamic policy never executes inside the epoch commit window. Decide
-// submits a snapshot without blocking and picks up the most recent
-// completed decision, dropping it if it is older than the deadline.
-// A policy that crashes on its goroutine fails sticky: the next Decide
-// panics with the original error, routing the app to quarantine.
-type IsolatedPolicy struct {
-	inner    *VMPolicy
-	deadline time.Duration
-
-	req    chan isoReq
-	res    atomic.Pointer[isoRes]
-	failed atomic.Pointer[string]
-	closed atomic.Bool
-	once   sync.Once
-	done   chan struct{}
-	drops  atomic.Int64
-}
-
-type isoReq struct {
-	d    monitor.Decision
-	sums map[string]monitor.Summary
-	at   time.Time
-}
-
-type isoRes struct {
-	cfg autotune.Config
-	ok  bool
-	at  time.Time
-}
-
-func newIsolatedPolicy(inner *VMPolicy, deadline time.Duration) *IsolatedPolicy {
-	ip := &IsolatedPolicy{
-		inner:    inner,
-		deadline: deadline,
-		req:      make(chan isoReq, 1),
-		done:     make(chan struct{}),
+	if vp.prog.Class == Isolated {
+		m.DecisionDeadlineTicks = int64(vp.deadline)
 	}
-	go ip.run()
-	return ip
-}
-
-func (ip *IsolatedPolicy) run() {
-	defer close(ip.done)
-	for r := range ip.req {
-		cfg, ok, err := ip.inner.decide(r.d, r.sums)
-		if err != nil {
-			msg := fmt.Sprintf("policyc: isolated policy %s: %v", ip.inner.prog.AspectName, err)
-			ip.failed.Store(&msg)
-			return
-		}
-		ip.res.Store(&isoRes{cfg: cfg, ok: ok, at: r.at})
-	}
-}
-
-// Decide implements runtime.Policy (structurally). It never blocks on
-// the worker: if the worker is busy the snapshot is dropped, and a
-// completed decision is only honoured while it is fresher than the
-// deadline.
-func (ip *IsolatedPolicy) Decide(d monitor.Decision, sums map[string]monitor.Summary) (autotune.Config, bool) {
-	if msg := ip.failed.Load(); msg != nil {
-		panic(*msg)
-	}
-	if ip.closed.Load() {
-		return nil, false
-	}
-	snap := make(map[string]monitor.Summary, len(sums))
-	for k, v := range sums {
-		snap[k] = v
-	}
-	select {
-	case ip.req <- isoReq{d: d, sums: snap, at: time.Now()}:
-	default: // worker busy: drop this snapshot
-	}
-	r := ip.res.Swap(nil)
-	if r == nil {
-		return nil, false // no completed decision to collect yet
-	}
-	if time.Since(r.at) > ip.deadline {
-		ip.drops.Add(1)
-		return nil, false // stale decision dropped
-	}
-	return r.cfg, r.ok
-}
-
-// Metrics implements KernelPolicy: the inner VM's counters plus the
-// isolation layer's deadline accounting.
-func (ip *IsolatedPolicy) Metrics() Metrics {
-	m := ip.inner.Metrics()
-	m.DeadlineDrops = ip.drops.Load()
-	m.DecisionDeadline = ip.deadline
 	return m
-}
-
-// Close stops the worker goroutine and waits for it to exit.
-func (ip *IsolatedPolicy) Close() error {
-	ip.once.Do(func() {
-		ip.closed.Store(true)
-		close(ip.req)
-	})
-	<-ip.done
-	return nil
 }

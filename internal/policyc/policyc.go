@@ -15,10 +15,11 @@
 // templates, no weaver actions. An aspect's inputs are bound from
 // per-app parameters; metric summaries and the SLA decision are
 // marshalled in as IR globals; knob writes come back out through the
-// set/scale/hold externs. A runaway or crashing policy burns its fuel
-// budget and panics out of Decide, which the kernel's tick-path
-// recover converts to per-app quarantine — it can never stall a
-// commit.
+// set/scale/hold externs. An isolated policy runs its decision in
+// bounded slices on the tick, not on a goroutine. A runaway or crashing
+// policy burns its fuel budget and panics out of Decide, which the
+// kernel's tick-path recover converts to per-app quarantine — it can
+// never stall a commit.
 package policyc
 
 import (
@@ -40,8 +41,8 @@ const (
 	// the epoch tick path.
 	Inline Class = iota
 	// Isolated policies (dynamic applies, call cycles, or worst-case
-	// cost over budget) run on their own goroutine with a decision
-	// deadline; stale decisions are dropped.
+	// cost over budget) run on the tick path in slices of the inline
+	// budget, one per Decide, under a deadline counted in calls.
 	Isolated
 )
 

@@ -1,9 +1,9 @@
 package policyc
 
 import (
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/monitor"
 )
@@ -55,7 +55,6 @@ func TestDecideGuardedSet(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer pol.Close()
 
 	cfg, ok := pol.Decide(monitor.Decision{Adapt: true, Violation: 0.5}, nil)
 	if !ok || cfg["level"] != 0.75 {
@@ -97,7 +96,6 @@ end
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer pol.Close()
 
 	sums := map[string]monitor.Summary{"latency": {Count: 10, Mean: 0.2, P95: 0.9}}
 	cfg, ok := pol.Decide(monitor.Decision{Adapt: true}, sums)
@@ -130,7 +128,6 @@ end
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer pol.Close()
 	cfg, ok := pol.Decide(monitor.Decision{Adapt: true}, nil)
 	if !ok || cfg["level"] != 1 {
 		t.Fatalf("decide = %v %v, want level=1", cfg, ok)
@@ -161,7 +158,6 @@ end
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer pol.Close()
 	cfg, ok := pol.Decide(monitor.Decision{Adapt: true}, nil)
 	if !ok || cfg["level"] != 2 {
 		t.Fatalf("decide = %v %v, want level=2", cfg, ok)
@@ -192,7 +188,6 @@ end
 			t.Fatalf("New: %v", err)
 		}
 		cfg, ok := pol.Decide(monitor.Decision{Adapt: true}, nil)
-		pol.Close()
 		if !ok || cfg["and"] != c.and || cfg["or"] != c.or || cfg["not"] != c.not {
 			t.Fatalf("a=%g b=%g: cfg=%v ok=%v want and=%g or=%g not=%g",
 				c.a, c.b, cfg, ok, c.and, c.or, c.not)
@@ -290,9 +285,8 @@ func TestClassifyCostIsolated(t *testing.T) {
 	}
 }
 
-// TestIsolatedDecisionFlow drives an isolated policy to a decision:
-// the first Decide only submits a snapshot, a later Decide picks up
-// the completed result while it is fresh.
+// TestIsolatedDecisionFlow: a cheap dynamic policy runs its whole
+// decision in the first slice, so it decides on its first call.
 func TestIsolatedDecisionFlow(t *testing.T) {
 	src := `
 aspectdef Dyn
@@ -301,30 +295,24 @@ aspectdef Dyn
 	end
 end
 `
-	pol, err := New(compileOK(t, src), Options{DecisionDeadline: 5 * time.Second})
+	pol, err := New(compileOK(t, src), Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer pol.Close()
-	if _, ok := pol.Decide(monitor.Decision{Adapt: true, Violation: 0.5}, nil); ok {
-		t.Fatal("first decide returned a decision before the worker could run")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	for i := 0; i < 3; i++ {
 		cfg, ok := pol.Decide(monitor.Decision{Adapt: true, Violation: 0.5}, nil)
-		if ok {
-			if cfg["level"] != 0.5 {
-				t.Fatalf("cfg = %v", cfg)
-			}
-			return
+		if !ok || cfg["level"] != 0.5 {
+			t.Fatalf("call %d: decide = %v %v, want level=0.5", i, cfg, ok)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("no decision arrived")
-		}
-		time.Sleep(time.Millisecond)
+	}
+	if m := pol.Metrics(); m.Decisions != 3 || m.DeadlineDrops != 0 || m.DecisionDeadlineTicks != decisionDeadlineTicks {
+		t.Fatalf("metrics = %+v", m)
 	}
 }
 
+// TestIsolatedStaleDecisionDropped: a decision that spans more Decide
+// calls than the deadline allows is dropped and counted, however many
+// decisions complete.
 func TestIsolatedStaleDecisionDropped(t *testing.T) {
 	src := `
 aspectdef Dyn
@@ -333,22 +321,25 @@ aspectdef Dyn
 	end
 end
 `
-	pol, err := New(compileOK(t, src), Options{DecisionDeadline: time.Nanosecond})
+	pol, err := New(compileOK(t, src), Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer pol.Close()
+	pol.(*VMPolicy).deadline = 0 // even a one-call decision is late
 	for i := 0; i < 50; i++ {
 		if cfg, ok := pol.Decide(monitor.Decision{Adapt: true}, nil); ok {
 			t.Fatalf("stale decision honoured: %v", cfg)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	if m := pol.Metrics(); m.Decisions != 50 || m.DeadlineDrops != 50 {
+		t.Fatalf("metrics = %+v, want 50 decisions all dropped", m)
 	}
 }
 
-// TestRunawayPolicyPanics: a recursive policy burns its bound on the
-// isolated worker; the failure is sticky and the next Decide panics,
-// which is the tick path's quarantine signal.
+// TestRunawayPolicyPanics: a recursive policy hits the VM's depth
+// limit after 512 calls of 10 cycles each. That is 5 120 cycles, so its
+// first Decide runs one slice and returns no change, and the second
+// panics — the tick path's quarantine signal.
 func TestRunawayPolicyPanics(t *testing.T) {
 	src := `
 aspectdef Ping
@@ -362,28 +353,101 @@ end
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer pol.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		panicked := func() (p bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					p = true
-					if !strings.Contains(r.(string), "Ping") {
-						t.Fatalf("panic = %v", r)
-					}
+	if cfg, ok := pol.Decide(monitor.Decision{Adapt: true}, nil); ok {
+		t.Fatalf("first Decide = %v, want the runaway suspended", cfg)
+	}
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(r.(string), "Ping") || !strings.Contains(r.(string), "depth") {
+			t.Fatalf("panic = %v, want Ping's depth error", r)
+		}
+	}()
+	pol.Decide(monitor.Decision{Adapt: true}, nil)
+	t.Fatal("second Decide returned")
+}
+
+// bigPolicy is an over-budget policy: n straight-line knob writes.
+func bigPolicy(n int) string {
+	var b strings.Builder
+	b.WriteString("aspectdef Big\n\tapply\n")
+	for i := 0; i < n; i++ {
+		b.WriteString("\t\tdo Set('level', 1 + 2 + 3 + 4);\n")
+	}
+	b.WriteString("\tend\nend\n")
+	return b.String()
+}
+
+// TestIsolatedSliceBound: a decision that outlasts many slices never
+// runs more than one inline budget of cycles in one Decide, resumes
+// where it stopped, and — past the deadline's count of calls — is
+// dropped and counted.
+func TestIsolatedSliceBound(t *testing.T) {
+	d := monitor.Decision{Adapt: true}
+	for _, c := range []struct {
+		writes int
+		drops  int64 // 1: the decision outlasts the deadline
+	}{{1000, 0}, {3000, 1}} {
+		pol, err := New(compileOK(t, bigPolicy(c.writes)), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vp := pol.(*VMPolicy)
+		calls := 0
+		for {
+			calls++
+			before := vp.vm.Cycles
+			cfg, ok := pol.Decide(d, nil)
+			if ran := vp.vm.Cycles - before; ran > inlineCostBudget {
+				t.Fatalf("%d writes: one Decide ran %d cycles, over the %d slice", c.writes, ran, inlineCostBudget)
+			}
+			if !vp.inflight {
+				if honoured := c.drops == 0; ok != honoured || (ok && cfg["level"] != 10) {
+					t.Fatalf("%d writes: finished after %d calls with %v %v", c.writes, calls, cfg, ok)
 				}
-			}()
-			pol.Decide(monitor.Decision{Adapt: true}, nil)
-			return false
-		}()
-		if panicked {
-			return
+				break
+			}
+			if ok {
+				t.Fatalf("%d writes: a suspended decision returned %v", c.writes, cfg)
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("runaway policy never surfaced a panic")
+		m := pol.Metrics()
+		if calls < 2 || m.FuelUsedLast != vp.vm.Cycles || m.DeadlineDrops != c.drops {
+			t.Fatalf("%d writes: %d calls, %d cycles, metrics %+v", c.writes, calls, vp.vm.Cycles, m)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	// A suspended decision's Decide is one more slice on a warm VM: it
+	// allocates nothing.
+	pol, err := New(compileOK(t, bigPolicy(3000)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp := pol.(*VMPolicy)
+	vp.slice = 64
+	pol.Decide(d, nil)
+	if allocs := testing.AllocsPerRun(100, func() { pol.Decide(d, nil) }); allocs != 0 {
+		t.Errorf("a suspended Decide allocates %.1f objects, want 0", allocs)
+	}
+	if !vp.inflight {
+		t.Fatal("the decision finished: no suspended Decide was measured")
+	}
+}
+
+// TestIsolatedPolicyNoGoroutine: an isolated policy is a value, not a
+// worker — building many starts nothing, and there is nothing to close.
+func TestIsolatedPolicyNoGoroutine(t *testing.T) {
+	p := compileOK(t, "aspectdef Dyn\n\tapply dynamic\n\t\tdo Set('level', 1);\n\tend\nend\n")
+	before := runtime.NumGoroutine()
+	pols := make([]KernelPolicy, 100)
+	for i := range pols {
+		pol, err := New(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol.Decide(monitor.Decision{Adapt: true}, nil)
+		pols[i] = pol
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("100 isolated policies: %d goroutines, was %d", after, before)
 	}
 }
 
@@ -416,12 +480,10 @@ func TestProgramReuseAcrossInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 	b, err := New(p, Options{Params: map[string]float64{"gain": 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 	ca, _ := a.Decide(monitor.Decision{Adapt: true, Violation: 0.5}, nil)
 	cb, _ := b.Decide(monitor.Decision{Adapt: true, Violation: 0.5}, nil)
 	if ca["level"] != 0.5 || cb["level"] != 1 {
@@ -431,13 +493,14 @@ func TestProgramReuseAcrossInstances(t *testing.T) {
 
 // TestDecideMarshalAllocs: marshalling a decision's inputs builds no
 // strings — the metric-ref and read-knob global names are precomputed
-// in New — so it allocates nothing, and Decide's whole cost is the VM
-// call plus the returned Config. hot is the saturate_1k benchmark's hot
+// in New — so it allocates nothing; a warm VM reuses its frames and
+// stack, so the VM call allocates nothing either; Decide's whole cost is
+// the returned Config. hot is the saturate_1k benchmark's hot
 // DSL program; hotKnob adds a bare-name knob read.
 func TestDecideMarshalAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name, src string
-		decide    float64 // Decide's allocation budget: the VM call and the Config
+		decide    float64 // Decide's allocation budget: the returned Config
 	}{
 		{"hot", `
 aspectdef Hot
@@ -447,7 +510,7 @@ aspectdef Hot
 	end
 	condition violation > 0 end
 end
-`, 4},
+`, 2},
 		{"hotKnob", `
 aspectdef HotKnob
 	input gain end
@@ -456,7 +519,7 @@ aspectdef HotKnob
 	end
 	condition violation > 0 end
 end
-`, 4},
+`, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			pol, err := New(compileOK(t, c.src), Options{
@@ -466,7 +529,6 @@ end
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer pol.Close()
 			vp := pol.(*VMPolicy)
 			d := monitor.Decision{Adapt: true, Violation: 0.5}
 			sums := map[string]monitor.Summary{"latency": {Count: 8, Mean: 0.25, Max: 3}}
@@ -478,6 +540,9 @@ end
 			}
 			if allocs := testing.AllocsPerRun(100, func() { pol.Decide(d, sums) }); allocs > c.decide {
 				t.Errorf("Decide allocates %.1f objects, want <= %.0f", allocs, c.decide)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { vp.vm.Call(vp.prog.Entry, vp.args...) }); allocs != 0 {
+				t.Errorf("the VM call allocates %.1f objects, want 0", allocs)
 			}
 		})
 	}
