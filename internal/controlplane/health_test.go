@@ -3,6 +3,7 @@ package controlplane
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -17,14 +18,19 @@ import (
 )
 
 // faultManager wraps a backend so a test can make its next commit
-// panic, exercising the failure domain over the wire.
+// panic, exercising the failure domain over the wire. onPanic, when set
+// before panicNext is armed, runs in the commit just before it panics.
 type faultManager struct {
 	inner     runtime.Backend
 	panicNext atomic.Bool
+	onPanic   func()
 }
 
 func (f *faultManager) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport {
 	if f.panicNext.CompareAndSwap(true, false) {
+		if f.onPanic != nil {
+			f.onPanic()
+		}
 		panic("injected fault")
 	}
 	return f.inner.RunEpoch(dt, offered)
@@ -184,15 +190,18 @@ func TestHealthzDegraded(t *testing.T) {
 	})
 }
 
-// TestAppStatusCarriesDropNote: under FailFast with no healthy backend,
-// the app's wire status carries the write-off note in its error field.
+// TestAppStatusCarriesDropNote: Stop during a total outage writes the
+// parked batch off, and the app's wire status carries the write-off
+// note in its error field. The name predates the park being the only
+// no-healthy-backends behaviour (a fail-fast policy used to write
+// batches off at once); the note it checks is the one that remains, so
+// the test keeps its ID.
 func TestAppStatusCarriesDropNote(t *testing.T) {
 	fm := &faultManager{inner: testBackend(202)}
 	k := runtime.NewKernel()
 	if err := k.AddBackend("b0", fm); err != nil {
 		t.Fatal(err)
 	}
-	k.SetNoHealthyPolicy(runtime.FailFast)
 	srv := httptest.NewServer(NewServer(k))
 	t.Cleanup(srv.Close)
 	c := NewClient(srv.URL, srv.Client())
@@ -208,11 +217,42 @@ func TestAppStatusCarriesDropNote(t *testing.T) {
 		return err == nil && ep.TotalsPerApp["app"] > 0
 	})
 
+	// One app runs on one loop, which ticks and then commits, so the
+	// tick count read in the panicking commit is that epoch's. A later
+	// tick is the loop past its last stop check after the failure: its
+	// batch parks (or, if Stop gets there first, finds the generation
+	// over) and Stop writes it off either way.
+	ctl := k.App("app")
+	var failedAt atomic.Int64
+	fm.onPanic = func() { failedAt.Store(ctl.Ticks()) }
 	fm.panicNext.Store(true)
-	waitFor(t, "drop note on wire status", func() bool {
-		st, err := c.App("app")
-		return err == nil && strings.Contains(st.Error, "no healthy backends")
+	waitFor(t, "the next batch to park", func() bool {
+		at := failedAt.Load()
+		return at > 0 && k.HealthyBackends() == 0 && ctl.Ticks() > at
 	})
+	before, err := c.Epochs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Stop()
+
+	st, err := c.App("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(st.Error, "no healthy backends") {
+		t.Errorf("wire error = %q, want the drop note", st.Error)
+	}
+	if err := k.Err(); !errors.Is(err, runtime.ErrNoHealthyBackends) {
+		t.Errorf("kernel Err = %v, want ErrNoHealthyBackends", err)
+	}
+	after, err := c.Epochs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, was := after.TotalsPerApp["app"], before.TotalsPerApp["app"]; got < was {
+		t.Errorf("offered totals went back at the write-off: %v -> %v", was, got)
+	}
 }
 
 // TestSSEBackendEvents: backend state transitions arrive as dedicated

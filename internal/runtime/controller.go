@@ -10,8 +10,9 @@ import (
 // Controller is one application's collect–analyse–decide–act loop: the
 // successor of the old monitor.Loop, with the decide and act stages
 // factored out behind Policy and Knob. It is safe for concurrent use:
-// producers Push (or feed the Sensor) from serving goroutines while
-// Tick runs on the control-loop goroutine; Ticks themselves serialize.
+// producers Push (or feed the Sensor inbox) from serving goroutines
+// while Tick runs on the control-loop goroutine; Ticks themselves
+// serialize.
 //
 // The tick path is allocation-free in steady state: sensor samples are
 // drained straight into cached window handles (no per-sample map
@@ -57,9 +58,9 @@ type Controller struct {
 	// controller attached under it; set by Kernel.Attach.
 	acct *account
 
-	// quarantined marks an app whose user-supplied Sensor/Policy/Knob/
-	// Workload panicked: the kernel skips it every later epoch and the
-	// panic is surfaced on AppStatus. Sticky — only a re-attach or a
+	// quarantined marks an app whose user-supplied Policy/Knob/Workload
+	// panicked: the kernel skips it every later epoch and the panic is
+	// surfaced on AppStatus. Sticky — only a re-attach or a
 	// SwapPolicy (installing a replacement for the component that
 	// crashed) clears it. failMu guards lastErr (the panic message, or
 	// the most recent dropped-epoch note).
@@ -154,16 +155,9 @@ func (c *Controller) Tick() monitor.Decision {
 	defer c.tickMu.Unlock()
 	c.ticks.Add(1)
 
-	// Collect: drain the sensor into the windows, without allocating
-	// when the sensor supports streaming.
+	// Collect: drain the sensor into the windows, without allocating.
 	if c.spec.Sensor != nil {
-		if d, ok := c.spec.Sensor.(SampleDrainer); ok {
-			d.Drain(c.drainFn)
-		} else {
-			for _, s := range c.spec.Sensor.Collect() {
-				c.pushCached(s.Metric, s.Value)
-			}
-		}
+		c.spec.Sensor.Drain(c.drainFn)
 	}
 
 	// Analyse: snapshot into the reused summary scratch and check the

@@ -13,10 +13,9 @@ import (
 
 // This file is the backend failure domain: per-backend health driven by
 // panic recovery and commit deadlines, drain/remove lifecycle with
-// evacuation at patch boundaries, and the no-healthy-backends
-// policy the executor applies when every slot is out. The design
-// follows the non-threaded CCP argument the rest of the kernel is built
-// on — failures are detected event-driven on the epoch path itself
+// evacuation at patch boundaries, and the park the executor enters when
+// every slot is out. The design follows the non-threaded CCP argument
+// the rest of the kernel is built on — failures are detected event-driven on the epoch path itself
 // (a recover around the commit, a deadline on its wait), never by
 // background health-checker threads.
 
@@ -34,7 +33,7 @@ var (
 	// no schedulable slot to evacuate onto.
 	ErrLastBackend = errors.New("cannot drain the last schedulable backend")
 	// ErrNoHealthyBackends: an epoch batch was written off because no
-	// backend could take it (FailFast policy, or Stop during a total
+	// backend could take it (Stop ended a generation parked in a total
 	// outage).
 	ErrNoHealthyBackends = errors.New("no healthy backends")
 )
@@ -109,39 +108,6 @@ func firstSchedulable(bks []*backendSlot) int {
 	}
 	return -1
 }
-
-// NoHealthyPolicy selects what an epoch batch does when no backend is
-// schedulable (see SetNoHealthyPolicy).
-type NoHealthyPolicy int32
-
-const (
-	// ParkAndRetry (the default) parks the batch and retries with
-	// capped exponential backoff until a backend heals (or is added) or
-	// the kernel stops; a parked batch commits once a backend is
-	// revived, so a total outage delays work instead of dropping it.
-	ParkAndRetry NoHealthyPolicy = iota
-	// FailFast writes the batch off immediately: the contributing apps
-	// get ErrNoHealthyBackends on their status and the epoch moves on.
-	// The offered work still counts in the per-app totals (the totals
-	// ledger records what apps offered, the managers record what ran).
-	FailFast
-)
-
-// String returns the flag-friendly policy name.
-func (p NoHealthyPolicy) String() string {
-	if p == FailFast {
-		return "fail-fast"
-	}
-	return "park"
-}
-
-// SetNoHealthyPolicy configures the no-healthy-backends behavior.
-// Takes effect on the next epoch batch. Note that under ParkAndRetry a
-// synchronous RunEpoch with every backend down blocks until a
-// ReviveBackend heals one (or AddBackend brings a healthy one) — the
-// concurrent mode additionally unparks on Stop, never on a membership
-// change.
-func (k *Kernel) SetNoHealthyPolicy(p NoHealthyPolicy) { k.noHealthy.Store(int32(p)) }
 
 // SetBackendTimeout arms the per-commit deadline: a backend epoch
 // running longer than d marks the slot Degraded, reroutes its batches and
@@ -441,9 +407,13 @@ func (k *Kernel) admitDrain(name string) (bs *backendSlot, gen int64, done bool,
 
 // completeDrain waits for the drain's generation to be served (running
 // kernel) or lands the placement refresh synchronously (stopped or
-// sync-driven kernel), then waits out in-flight commits and marks the
-// slot drained.
+// sync-driven kernel), then waits out an abandoned commit on the slot
+// and marks it drained. Both waits block on the epoch signal: a patch or
+// a new generation rings it once served, Stop once the loops are gone,
+// and an abandoned commit once it lands.
 func (k *Kernel) completeDrain(bs *backendSlot, gen int64) {
+	sig, cancel := k.EpochSignal()
+	defer cancel()
 	for {
 		k.mu.Lock()
 		running := k.running
@@ -463,12 +433,12 @@ func (k *Kernel) completeDrain(bs *backendSlot, gen int64) {
 			// this slot) is live.
 			break
 		}
-		time.Sleep(200 * time.Microsecond)
+		<-sig
 	}
 	// An abandoned (stalled) commit may still hold the slot's backend;
 	// retire only after it returns.
 	for bs.commitState.Load() != commitIdle {
-		time.Sleep(200 * time.Microsecond)
+		<-sig
 	}
 	k.mu.Lock()
 	if bs.state.Load() == slotDraining {
@@ -629,33 +599,36 @@ func (k *Kernel) commitAsync(bs *backendSlot, dt float64, tasks []*simhpc.Task, 
 }
 
 // awaitSchedulable resolves the executor's fallback backend when the
-// epoch's backend view bks has no schedulable slot, by the
-// no-healthy-backends policy: FailFast gives up at once (-1);
-// ParkAndRetry polls with capped exponential backoff until a slot heals
-// or ctx (the serving generation's context; nil under the sync driver)
-// ends — with one final look after cancellation, so a revive racing the
-// wind-down still lands the batch. Membership changes do not end ctx:
-// they wait for the parked epoch at their patch boundary. Each poll
-// re-reads the kernel's backend set, so a backend added during the
-// outage takes the batch too; the view returned is the one to route
-// over (AddBackend only appends, so placed indices stay valid).
-func (k *Kernel) awaitSchedulable(ctx context.Context, bks []*backendSlot) ([]*backendSlot, int) {
-	if NoHealthyPolicy(k.noHealthy.Load()) == FailFast {
-		return bks, -1
+// epoch's backend view has no schedulable slot: the batch parks until a
+// slot heals, a backend is added or ctx (the serving generation's
+// context; nil under the sync driver) ends — with one final look after
+// cancellation, so a revive racing the wind-down still lands the batch
+// (-1 means none did: the caller writes the batch off). It blocks on the
+// epoch signal, which every health transition and AddBackend ring, and
+// subscribes before its first look, so no ring is missed. Membership
+// changes do not end ctx: they wait for the parked epoch at their patch
+// boundary. Each look re-reads the kernel's backend set, so a backend
+// added during the outage takes the batch too; the view returned is the
+// one to route over (AddBackend only appends, so placed indices stay
+// valid).
+func (k *Kernel) awaitSchedulable(ctx context.Context) ([]*backendSlot, int) {
+	sig, cancel := k.EpochSignal()
+	defer cancel()
+	var done <-chan struct{} // nil under the sync driver: the signal alone
+	if ctx != nil {
+		done = ctx.Done()
 	}
-	const maxBackoff = 50 * time.Millisecond
-	backoff := 500 * time.Microsecond
 	for {
-		done := ctx != nil && ctx.Err() != nil
+		ended := ctx != nil && ctx.Err() != nil
 		k.mu.Lock()
-		bks = k.backends
+		bks := k.backends
 		k.mu.Unlock()
-		if i := firstSchedulable(bks); i >= 0 || done {
+		if i := firstSchedulable(bks); i >= 0 || ended {
 			return bks, i
 		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
+		select {
+		case <-sig:
+		case <-done:
 		}
 	}
 }
@@ -676,8 +649,8 @@ func (k *Kernel) writeOff(contribs []contribution) {
 }
 
 // tickApp runs one app's Tick + workload materialization with panic
-// containment: a panic in tenant-supplied Sensor/Policy/Knob/Workload
-// code quarantines that app — skipped by every later epoch, the panic
+// containment: a panic in tenant-supplied Policy/Knob/Workload code
+// quarantines that app — skipped by every later epoch, the panic
 // surfaced on its status — and never crashes the kernel or its
 // shard-mates. live=false means the app contributed nothing (already
 // quarantined, or quarantined by this very tick). A plain workload

@@ -29,15 +29,15 @@ type inboxChunk struct {
 	slots   [inboxChunkSize]Sample
 }
 
-// Inbox is a concurrent sample buffer implementing Sensor: any number
-// of producer goroutines Push while the control loop drains via Collect
-// (or the allocation-free Drain). The zero value is ready to use.
+// Inbox is the collect stage (AppSpec.Sensor), a concurrent sample
+// buffer: any number of producer goroutines Push while the control loop
+// drains it, allocation-free, via Drain. The zero value is ready to use.
 //
 // Internally it is a chunked lock-free ring (the ROADMAP's "async
 // telemetry ingestion" item, after the non-threaded-CCP argument for a
 // lock-free ingress): Push claims a slot with one atomic add and never
-// takes a lock, so producers never contend with Collect or with a
-// slower producer holding a mutex. Collect walks the chunk chain behind
+// takes a lock, so producers never contend with Drain or with a
+// slower producer holding a mutex. Drain walks the chunk chain behind
 // a consumer-side mutex that producers never touch.
 type Inbox struct {
 	first atomic.Pointer[inboxChunk] // anchor for the collector, set once
@@ -77,7 +77,7 @@ func (in *Inbox) Push(metric string, v float64) {
 // preserved (the claimed ranges are contiguous and chunks are chained
 // in claim order), the samples are copied, and the caller may reuse
 // the slice immediately. Like Push it is lock-free and never contends
-// with Collect.
+// with Drain.
 func (in *Inbox) PushBatch(samples []Sample) {
 	if len(samples) == 0 {
 		return
@@ -147,14 +147,10 @@ func (in *Inbox) advance(c *inboxChunk) *inboxChunk {
 }
 
 // Drain streams every buffered sample into fn in push-claim order and
-// removes them — the allocation-free collect path (SampleDrainer).
+// removes them — the allocation-free collect path.
 func (in *Inbox) Drain(fn func(metric string, v float64)) {
 	in.collectMu.Lock()
 	defer in.collectMu.Unlock()
-	in.drainLocked(fn)
-}
-
-func (in *Inbox) drainLocked(fn func(metric string, v float64)) {
 	c := in.head
 	if c == nil {
 		if c = in.first.Load(); c == nil {
@@ -197,20 +193,6 @@ func (in *Inbox) drainLocked(fn func(metric string, v float64)) {
 		}
 		c, in.head, in.headPos = next, next, 0
 	}
-}
-
-// Collect drains and returns the buffered samples (Sensor).
-func (in *Inbox) Collect() []Sample {
-	in.collectMu.Lock()
-	defer in.collectMu.Unlock()
-	var out []Sample
-	if n := in.pending.Load(); n > 0 {
-		out = make([]Sample, 0, n)
-	}
-	in.drainLocked(func(metric string, v float64) {
-		out = append(out, Sample{Metric: metric, Value: v})
-	})
-	return out
 }
 
 // Len returns the number of buffered samples (approximate while

@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// drainAll drains in and returns the samples in drain order.
+func drainAll(in *Inbox) []Sample {
+	var out []Sample
+	in.Drain(func(metric string, v float64) {
+		out = append(out, Sample{Metric: metric, Value: v})
+	})
+	return out
+}
+
 // TestInboxStress is the ring's correctness gauntlet (run under -race
 // in CI): N producers push tagged samples while a collector drains
 // concurrently; afterwards every sample must have arrived exactly once.
@@ -53,10 +62,10 @@ func TestInboxStress(t *testing.T) {
 			}
 		}
 		for producing.Load() > 0 {
-			record(in.Collect())
+			record(drainAll(in))
 		}
 		wg.Wait()
-		record(in.Collect())
+		record(drainAll(in))
 
 		for p := 0; p < producers; p++ {
 			metric := fmt.Sprintf("m%d", p)
@@ -194,10 +203,10 @@ func TestInboxPushBatchStress(t *testing.T) {
 		}
 	}
 	for producing.Load() > 0 {
-		record(in.Collect())
+		record(drainAll(in))
 	}
 	wg.Wait()
-	record(in.Collect())
+	record(drainAll(in))
 
 	for p := 0; p < producers; p++ {
 		metric := fmt.Sprintf("m%d", p)
@@ -286,7 +295,7 @@ func TestInboxPushBatchNoAlloc(t *testing.T) {
 // embeds one by value) and an empty collect must not allocate chunks.
 func TestInboxZeroValue(t *testing.T) {
 	var in Inbox
-	if got := in.Collect(); len(got) != 0 {
+	if got := drainAll(&in); len(got) != 0 {
 		t.Errorf("fresh inbox returned %v", got)
 	}
 	if in.Len() != 0 {
@@ -297,7 +306,7 @@ func TestInboxZeroValue(t *testing.T) {
 	if in.Len() != 2 {
 		t.Errorf("Len = %d, want 2", in.Len())
 	}
-	got := in.Collect()
+	got := drainAll(&in)
 	if len(got) != 2 || got[0].Value != 1 || got[1].Value != 2 {
 		t.Errorf("collected %v", got)
 	}

@@ -54,7 +54,7 @@ var (
 //   - RunEpoch: synchronous, one epoch per call. Goroutine-safe; used by
 //     deterministic simulation drivers and tests. The Tick+workload
 //     fan-out runs on a worker pool, so different apps' Workload and
-//     Sensor callbacks may run concurrently with each other (the same
+//     Policy callbacks may run concurrently with each other (the same
 //     guarantee the concurrent mode has always given).
 //   - Start/Stop: sharded control-loop goroutines feeding a batched
 //     epoch scheduler. The scheduler runs a manager epoch when every
@@ -139,14 +139,13 @@ type Kernel struct {
 	notifyCount atomic.Int32
 
 	// Failure domain (see health.go). backendTimeout is the per-commit
-	// deadline in nanoseconds (0 = disabled); noHealthy the
-	// NoHealthyPolicy. parkCtx is the context a parked epoch batch waits
-	// under when no backend is schedulable — the serving generation's
-	// context in concurrent mode, nil under the sync driver (a sync park
-	// then waits for a revive alone). Written only at quiescent points,
-	// same discipline as epochBackends.
+	// deadline in nanoseconds (0 = disabled). parkCtx is the context a
+	// parked epoch batch waits under when no backend is schedulable —
+	// the serving generation's context in concurrent mode, nil under the
+	// sync driver (a sync park then waits for a revive or an AddBackend
+	// alone). Written only at quiescent points, same discipline as
+	// epochBackends.
 	backendTimeout atomic.Int64
-	noHealthy      atomic.Int32
 	parkCtx        context.Context
 
 	// backend-event subscribers (BackendEvents); same shape as the
@@ -279,8 +278,8 @@ func (k *Kernel) AddBackend(name string, be Backend) error {
 		return fmt.Errorf("runtime: add backend %q: nil backend", name)
 	}
 	k.mu.Lock()
-	defer k.mu.Unlock()
 	if _, dup := k.byBackend[name]; dup {
+		k.mu.Unlock()
 		return fmt.Errorf("runtime: add backend %q: duplicate backend name", name)
 	}
 	// Copy-on-write: epoch snapshots of k.backends stay valid.
@@ -292,6 +291,8 @@ func (k *Kernel) AddBackend(name string, be Backend) error {
 	k.backends = append(bks, bs)
 	k.byBackend[name] = len(k.backends) - 1
 	k.membershipChangedLocked()
+	k.mu.Unlock()
+	k.signalEpoch() // a batch parked in an outage takes the new backend
 	return nil
 }
 
@@ -663,15 +664,25 @@ func (k *Kernel) backendLoads(bks []*backendSlot) []BackendLoad {
 	return out
 }
 
-// EpochSignal subscribes to epoch completions: the returned channel
-// receives a coalesced wakeup after every kernel epoch, after every
-// membership patch (ServedGeneration moved) — and after a
-// deadline-abandoned backend commit finally lands, so a late backend
-// finishing after the global epoch counter already moved still wakes
-// subscribers (buffered one deep — a slow consumer sees one pending
-// signal, not a backlog). cancel releases the subscription. With no
-// subscribers the epoch path pays a single atomic load. Consumers that must distinguish which backend moved
-// key on BackendStats.Seq rather than the global epoch counter.
+// EpochSignal subscribes to changes of kernel state. The returned
+// channel receives a coalesced wakeup (buffered one deep — a slow
+// consumer sees one pending signal, not a backlog) after every:
+//   - kernel epoch;
+//   - membership patch, and every generation the supervisor starts
+//     serving (ServedGeneration moved);
+//   - backend health or lifecycle transition (see BackendEvents);
+//   - AddBackend;
+//   - deadline-abandoned commit that finally lands, so a late backend
+//     finishing after the global epoch counter already moved still
+//     wakes subscribers;
+//   - Stop, once the loops are gone.
+//
+// A consumer re-reads the state it waits on after each wake; subscribing
+// before the first read means no change is missed. Parked epoch batches
+// and backend drains wait on it too. cancel releases the subscription.
+// With no subscribers a ring costs a single atomic load. Consumers that
+// must distinguish which backend moved key on BackendStats.Seq rather
+// than the global epoch counter.
 func (k *Kernel) EpochSignal() (ch <-chan struct{}, cancel func()) {
 	c := make(chan struct{}, 1)
 	k.notifyMu.Lock()
@@ -839,14 +850,14 @@ func (k *Kernel) routeAndCommit(dt float64, contribs []contribution, observed bo
 	// Resolve the fallback target before merging: every contribution
 	// whose placed backend is unschedulable (failed, degraded, draining,
 	// not yet placed) reroutes here. With no schedulable backend at all
-	// the no-healthy policy decides between parking (awaitSchedulable)
-	// and writing the batch off — either way the merge below runs first,
+	// the batch parks (awaitSchedulable), and is written off only when
+	// the generation ends first — either way the merge below runs first,
 	// because the offered totals are accounted per contribution exactly
 	// once, always.
 	bks := k.epochBackends
 	fallback := firstSchedulable(bks)
 	if fallback < 0 {
-		bks, fallback = k.awaitSchedulable(k.parkCtx, bks)
+		bks, fallback = k.awaitSchedulable(k.parkCtx)
 	}
 	sole := len(bks) == 1
 	// PerApp escapes to OnEpoch observers and RunEpoch callers, who may
@@ -980,7 +991,9 @@ func (k *Kernel) executor(execCh <-chan []contribution, idle chan<- struct{}, dt
 // The per-app Tick+workload stage fans out over a worker pool, so two
 // different apps' callbacks may run concurrently (each app's own
 // callbacks never do). On a workload error the epoch is abandoned —
-// no manager epoch runs — but other apps may already have ticked.
+// no manager epoch runs — but other apps may already have ticked. With
+// every backend down the epoch parks until a ReviveBackend heals one or
+// an AddBackend brings a healthy one.
 func (k *Kernel) RunEpoch(dt float64) (EpochResult, error) {
 	k.syncMu.Lock()
 	defer k.syncMu.Unlock()
@@ -998,8 +1011,8 @@ func (k *Kernel) RunEpoch(dt float64) (EpochResult, error) {
 	// and Detach replaces the app slice (copy-on-write) instead of
 	// rewriting elements.
 	apps := k.apps
-	// Sync parks (no healthy backends under ParkAndRetry) have no
-	// generation context to watch — they wait for a revive alone.
+	// Sync parks (no healthy backends) have no generation context to
+	// watch — they wait for a revive or an AddBackend alone.
 	k.parkCtx = nil
 	k.mu.Unlock()
 
@@ -1184,7 +1197,7 @@ func (sh *shard) tick(k *Kernel) {
 // workload delays admission of newly attached apps.
 //
 // Start waits out an in-flight RunEpoch (the modes share the epoch
-// scratch), so a synchronous epoch parked under ParkAndRetry delays it.
+// scratch), so a synchronous epoch parked in an outage delays it.
 func (k *Kernel) Start(ctx context.Context, opts Options) error {
 	opts = opts.withDefaults()
 	k.syncMu.Lock() // same order as RunEpoch and completeDrain: syncMu, then mu
@@ -1219,6 +1232,7 @@ func (k *Kernel) supervise(ctx context.Context, opts Options) {
 		apps, gen, changed := k.snapshotLocked()
 		k.mu.Unlock()
 		k.servedGen.Store(gen)
+		k.signalEpoch() // an idle generation runs no epoch to ring it
 		if ctx.Err() != nil {
 			return
 		}
@@ -1353,6 +1367,7 @@ func (k *Kernel) Stop() {
 	k.running = false
 	k.memChanged = nil // the supervisor that armed it is gone
 	k.mu.Unlock()
+	k.signalEpoch() // a drain waiting for a served generation lands itself
 }
 
 // shardLoop drives the control loops of one shard of applications:

@@ -37,9 +37,9 @@ func TestReshardOnGOMAXPROCSChange(t *testing.T) {
 	waitShards := func(want int) {
 		t.Helper()
 		deadline := time.Now().Add(15 * time.Second)
-		for k.LoopShards() != want {
+		for int(k.topoShards.Load()) != want {
 			if time.Now().After(deadline) {
-				t.Fatalf("LoopShards() = %d, want %d (no reshape)", k.LoopShards(), want)
+				t.Fatalf("topoShards = %d, want %d (no reshape)", int(k.topoShards.Load()), want)
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -25,11 +25,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // waitServed waits until the concurrent loops serve the current
 // membership epoch — the observable admission point of a live
-// attach/detach.
+// attach/detach. Every patch and every new generation ring the epoch
+// signal it waits on.
 func waitServed(t *testing.T, k *Kernel) {
 	t.Helper()
 	gen := k.Generation()
-	waitFor(t, fmt.Sprintf("served generation %d", gen), func() bool {
+	waitEpoch(t, k, fmt.Sprintf("served generation %d", gen), func() bool {
 		return k.ServedGeneration() >= gen
 	})
 }

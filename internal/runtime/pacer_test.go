@@ -131,8 +131,8 @@ func nudgeRunsOneEpoch(t *testing.T, k *Kernel, ctls []*Controller) {
 func TestNudgeSingleLoop(t *testing.T) {
 	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
 	k, ctls := pacedKernel(t, 3)
-	if got := k.LoopShards(); got != 1 {
-		t.Fatalf("LoopShards() = %d, want the single loop", got)
+	if got := k.topoShards.Load(); got != 1 {
+		t.Fatalf("topoShards = %d, want the single loop", got)
 	}
 	nudgeRunsOneEpoch(t, k, ctls)
 }
@@ -149,8 +149,8 @@ func TestNudgeSingleLoop(t *testing.T) {
 func TestNudgeShardedAndAcrossRoll(t *testing.T) {
 	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(4))
 	k, ctls := pacedKernel(t, 9)
-	if got := k.LoopShards(); got != 4 {
-		t.Fatalf("LoopShards() = %d, want 4 shard loops", got)
+	if got := k.topoShards.Load(); got != 4 {
+		t.Fatalf("topoShards = %d, want 4 shard loops", got)
 	}
 	// 10 apps keep 4 shard loops: a patch.
 	late, err := k.Attach(AppSpec{Name: "late"})
@@ -183,8 +183,8 @@ func TestNudgeShardedAndAcrossRoll(t *testing.T) {
 	waitEpoch(t, k, "the new generation's first epoch", func() bool {
 		return k.Rebuilds() == 1 && k.Epochs() >= epochs+2
 	})
-	if got := k.LoopShards(); got != 8 {
-		t.Fatalf("LoopShards() = %d after the rebuild, want 8", got)
+	if got := k.topoShards.Load(); got != 8 {
+		t.Fatalf("topoShards = %d after the rebuild, want 8", got)
 	}
 	// One round rung to the old topology's boundary — the late app's
 	// first since its admission — and the new topology's first round.

@@ -104,8 +104,7 @@ func (b *ledgerBackend) commitCount() int {
 	return b.commits
 }
 
-// TestMembershipChangeKeepsParkedBatch: under ParkAndRetry, an Attach
-// and a Detach while an epoch batch is parked on a total outage neither
+// TestMembershipChangeKeepsParkedBatch: an Attach and a Detach while an epoch batch is parked on a total outage neither
 // unpark nor write off the batch — the change waits for its boundary,
 // which comes after the revived backend commits the batch. Every
 // offered GFlop is committed exactly once and nothing is dropped.
@@ -163,7 +162,7 @@ func TestMembershipChangeKeepsParkedBatch(t *testing.T) {
 	}
 	// No epoch can complete while the batch is parked. A change that
 	// unparked it would complete one — writing the batch off — within a
-	// backoff step (about a millisecond here); the window is the fixture.
+	// wake; the window is the fixture.
 	select {
 	case <-sig:
 		t.Fatalf("an epoch completed with no healthy backend (kernel error: %v)", k.Err())
@@ -192,10 +191,10 @@ func TestMembershipChangeKeepsParkedBatch(t *testing.T) {
 }
 
 // TestAddBackendLandsParkedBatch: a backend added during a total outage
-// under ParkAndRetry takes the parked epoch batch. The AddBackend patch
-// waits for the parked epoch at its boundary, so the park itself must
-// see the new backend (it re-reads the backend set each poll) or the
-// kernel hangs. Two apps, so the boundary is the sharded scheduler's:
+// takes the parked epoch batch. The AddBackend patch waits for the
+// parked epoch at its boundary, so the park itself must see the new
+// backend (AddBackend rings the signal it waits on, and it re-reads the
+// backend set on each ring) or the kernel hangs. Two apps, so the boundary is the sharded scheduler's:
 // the batch commits exactly once, on the new backend, the change is
 // then served, and every offered GFlop is accounted once.
 func TestAddBackendLandsParkedBatch(t *testing.T) {
@@ -242,8 +241,8 @@ func TestAddBackendLandsParkedBatch(t *testing.T) {
 	}
 	defer k.Stop()
 	waitEpoch(t, k, "the first epoch", func() bool { return k.Epochs() >= 1 })
-	if got := k.LoopShards(); got != 2 {
-		t.Fatalf("LoopShards() = %d, want 2 shard loops", got)
+	if got := k.topoShards.Load(); got != 2 {
+		t.Fatalf("topoShards = %d, want 2 shard loops", got)
 	}
 
 	failed.Store(true)

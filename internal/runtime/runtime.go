@@ -5,11 +5,11 @@
 // Fig. 1 (application autotuning, cluster resource management) lifted
 // out of per-example wiring into one goroutine-safe engine.
 //
-// The building blocks are three small interfaces extracted from the old
-// monitor.Loop + autotune.Tuner + core.App tangle:
+// The building blocks were extracted from the old monitor.Loop +
+// autotune.Tuner + core.App tangle:
 //
-//   - Sensor — the collect stage: surrenders the telemetry samples
-//     accumulated since the last epoch;
+//   - Inbox — the collect stage: a concurrent buffer of the telemetry
+//     samples pushed since the last tick;
 //   - Policy — the decide stage: picks the next configuration when the
 //     SLA trigger fires;
 //   - Knob — the act stage: actuates the chosen configuration.
@@ -30,27 +30,6 @@ import (
 type Sample struct {
 	Metric string
 	Value  float64
-}
-
-// Sensor is the collect stage: Collect returns (and forgets) the samples
-// produced since the last call. Implementations must be safe for
-// concurrent use with their producers.
-type Sensor interface {
-	Collect() []Sample
-}
-
-// SensorFunc adapts a function to the Sensor interface.
-type SensorFunc func() []Sample
-
-// Collect implements Sensor.
-func (f SensorFunc) Collect() []Sample { return f() }
-
-// SampleDrainer is an optional Sensor fast path: instead of returning a
-// freshly allocated slice, the sensor streams its pending samples into
-// fn. The control loop prefers this path when available, keeping the
-// collect stage allocation-free (Inbox implements it).
-type SampleDrainer interface {
-	Drain(fn func(metric string, v float64))
 }
 
 // Policy is the decide stage: when the debounced SLA trigger fires,
@@ -112,7 +91,9 @@ type AppSpec struct {
 	// ignored (the policy places the app as if unhinted).
 	Backend string
 
-	Sensor   Sensor
+	// Sensor is the collect stage: each tick drains it into the metric
+	// windows.
+	Sensor   *Inbox
 	Policy   Policy
 	Knob     Knob
 	Workload Workload

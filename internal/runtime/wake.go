@@ -136,12 +136,6 @@ func (k *Kernel) releaseShards(pending []*shard) {
 // parked, where a channel handshake would cost 2·shards.
 func (k *Kernel) WakeOps() int64 { return k.wakeOps.Load() }
 
-// LoopShards reports how many control-loop workers the currently
-// served generation runs (0 before the first generation is up). It
-// exists so tests and operators can observe a topology reshape after a
-// live GOMAXPROCS change.
-func (k *Kernel) LoopShards() int { return int(k.topoShards.Load()) }
-
 // maybeReshape flags a topology rebuild once when GOMAXPROCS has
 // drifted from the value the topology was shaped for (live
 // runtime.GOMAXPROCS call or cgroup resize); the next patch boundary
