@@ -111,7 +111,6 @@ func main() {
 		shutdownT = flag.Duration("shutdown-timeout", 10*time.Second, "bound on graceful HTTP shutdown; connections still open after it (e.g. SSE streams) are closed forcibly")
 		pprofAddr = flag.String("pprof", "", "pprof listen address on a separate loopback listener, e.g. 127.0.0.1:6060 (empty = profiling off; never mounted on the public mux)")
 		dataDir   = flag.String("data-dir", "", "durability directory (WAL + snapshots); empty = memory-only control plane")
-		syncWin   = flag.Duration("sync-window", 0, "journal group-commit window: appends landing within it share one fsync (0 = fsync per commit group as fast as the disk allows)")
 		snapEvery = flag.Int("snapshot-every", 256, "journaled records between snapshots (bounds WAL growth and replay time)")
 	)
 	flag.Parse()
@@ -132,7 +131,7 @@ func main() {
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 			log.Fatalf("antarex-serve: %v", err)
 		}
-		jlog, err = durable.Open(*dataDir, durable.Options{SyncWindow: *syncWin})
+		jlog, err = durable.Open(*dataDir, durable.Options{})
 		if err != nil {
 			log.Fatalf("antarex-serve: open journal: %v", err)
 		}

@@ -34,7 +34,7 @@ type chaosBackend struct {
 
 func (c *chaosBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport {
 	if d := c.stallNS.Swap(0); d > 0 {
-		time.Sleep(time.Duration(d))
+		time.Sleep(time.Duration(d)) // the injected stall is the fixture
 	}
 	if c.killNext.CompareAndSwap(true, false) {
 		panic("chaos: injected backend failure")
@@ -132,13 +132,19 @@ func chaosRun() bool {
 	}
 	defer kern.Stop()
 
-	// waitFor polls cond with a deadline; chaos transitions are
-	// event-driven on the epoch path, so these settle in epochs, not
-	// wall-clock — the deadline is a harness hang guard.
+	// waitFor blocks on the kernel's epoch signal until cond holds.
+	// Every condition below is an epoch count, a backend's Seq or
+	// health, or the served generation, and each of those rings the
+	// signal; the deadline is a harness hang guard.
 	waitFor := func(what string, cond func() bool) bool {
-		deadline := time.Now().Add(20 * time.Second)
+		sig, unsub := kern.EpochSignal()
+		defer unsub()
+		deadline := time.NewTimer(20 * time.Second)
+		defer deadline.Stop()
 		for !cond() {
-			if time.Now().After(deadline) {
+			select {
+			case <-sig:
+			case <-deadline.C:
 				fail("timed out waiting for %s", what)
 				for _, st := range kern.BackendStats() {
 					fmt.Printf("    %s: %s/%s seq=%d apps=%d lastErr=%q\n",
@@ -146,7 +152,6 @@ func chaosRun() bool {
 				}
 				return false
 			}
-			time.Sleep(500 * time.Microsecond)
 		}
 		return true
 	}

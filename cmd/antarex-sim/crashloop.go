@@ -214,7 +214,7 @@ func startServe(bin, addr, dataDir string) (*exec.Cmd, *controlplane.Client, err
 			cmd.Wait()
 			return nil, nil, fmt.Errorf("server on %s never became healthy", addr)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond) // a child process rings no signal here: poll its /healthz
 	}
 }
 

@@ -283,7 +283,7 @@ func kernelDemo() {
 			}
 			for ctx.Err() == nil {
 				st.inbox.Push(monitor.MetricLatency, lat)
-				time.Sleep(500 * time.Microsecond)
+				time.Sleep(500 * time.Microsecond) // the producer's sample rate: a fixture
 			}
 		}(i, st)
 	}
@@ -295,9 +295,11 @@ func kernelDemo() {
 		wg.Wait()
 		return
 	}
+	sig, unsub := kern.EpochSignal()
 	for kern.Epochs() < 200 {
-		time.Sleep(time.Millisecond)
+		<-sig // every epoch rings the signal
 	}
+	unsub()
 	kern.Stop()
 	cancel()
 	wg.Wait()

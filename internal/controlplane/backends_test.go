@@ -62,11 +62,11 @@ func TestBackendsAPI(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "pinned tenant placed", func() bool {
+	waitFor(t, k, "pinned tenant placed", func() bool {
 		st, err := c.App("pinned")
 		return err == nil && st.Backend == "hot"
 	})
-	waitFor(t, "hot backend worked", func() bool {
+	waitFor(t, k, "hot backend worked", func() bool {
 		ep, err := c.Epochs()
 		if err != nil || len(ep.Backends) != 2 {
 			return false
@@ -91,7 +91,7 @@ func TestBackendsAPI(t *testing.T) {
 	if _, err := c.Register(AppSpec{Name: "edgy", Placement: "edge"}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "edge tenant placed", func() bool {
+	waitFor(t, k, "edge tenant placed", func() bool {
 		st, err := c.App("edgy")
 		return err == nil && st.Backend == "edge"
 	})
@@ -148,7 +148,7 @@ func TestSLAAwareSteeringOverHTTP(t *testing.T) {
 	}
 	// Least-loaded spreads t0/t1 across cool+hot; steering then drains
 	// the hot site. End state: both tenants report the cool backend.
-	waitFor(t, "steering drained the hot site", func() bool {
+	waitFor(t, k, "steering drained the hot site", func() bool {
 		for _, name := range []string{"t0", "t1"} {
 			st, err := c.App(name)
 			if err != nil || st.Backend != "b0" {

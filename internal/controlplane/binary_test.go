@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -256,7 +257,7 @@ func TestStreamIngest(t *testing.T) {
 		t.Errorf("accepted counters sum to %d, want %d", got, flushes*perFlush)
 	}
 	// The kernel actually collects what the stream pushed.
-	waitFor(t, "streamed samples collected", func() bool {
+	waitFor(t, k, "streamed samples collected", func() bool {
 		return ra0.inbox.Len() == 0 && ra1.inbox.Len() == 0
 	})
 }
@@ -328,7 +329,7 @@ func TestStreamBackpressure(t *testing.T) {
 // resumes without error once the kernel drains — backpressure on the
 // persistent path is flow control, not failure.
 func TestStreamFlowControlRecovers(t *testing.T) {
-	_, s, c := newBinaryPlane(t)
+	k, s, c := newBinaryPlane(t)
 	if _, err := c.Register(AppSpec{Name: "paced"}); err != nil {
 		t.Fatal(err)
 	}
@@ -336,10 +337,15 @@ func TestStreamFlowControlRecovers(t *testing.T) {
 	for i := 0; i < maxPendingSamples; i++ {
 		ra.inbox.Push(monitor.MetricLatency, 1)
 	}
-	// Drain arrives while the stream frame is waiting out the stall.
+	// Drain arrives while the stream frame is waiting out the stall. In
+	// the server a drain is always a kernel tick inside an epoch, and the
+	// epoch rings the signal the stalled frame waits on. The sleep is the
+	// fixture: it lets the frame stall first.
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		ra.ctl.Tick()
+		if _, err := k.RunEpoch(60); err != nil {
+			t.Errorf("drain epoch: %v", err)
+		}
 	}()
 	w, err := c.Stream()
 	if err != nil {
@@ -358,6 +364,79 @@ func TestStreamFlowControlRecovers(t *testing.T) {
 	if ack.Accepted != 1 {
 		t.Errorf("ack.Accepted = %d, want 1", ack.Accepted)
 	}
+}
+
+// TestStreamStallWaitsOnEvent: a frame stalled on a full inbox of a
+// kernel that runs no epochs blocks on the epoch signal, the client's
+// context or the stall limit. It must not sleep-poll: sampled while it
+// stalls, the handler's goroutine is never in a sleep and is seen
+// parked in its select.
+func TestStreamStallWaitsOnEvent(t *testing.T) {
+	old := streamStallLimit
+	streamStallLimit = 400 * time.Millisecond
+	defer func() { streamStallLimit = old }()
+	_, s, c := newBinaryPlane(t)
+	if _, err := c.Register(AppSpec{Name: "stalled"}); err != nil {
+		t.Fatal(err)
+	}
+	ra := s.apps["stalled"]
+	for i := 0; i < maxPendingSamples; i++ {
+		ra.inbox.Push(monitor.MetricLatency, 1)
+	}
+	frame, err := wire.NewEncoder().AppendFrame(nil, "stalled", []runtime.Sample{{Metric: monitor.MetricLatency, Value: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, c.base+"/v1/stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", wireContentType)
+	type reply struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := c.hc.Do(req)
+		done <- reply{resp, err}
+	}()
+
+	states := map[string]int{}
+	buf := make([]byte, 1<<20)
+	var rep reply
+sample:
+	for {
+		select {
+		case rep = <-done:
+			break sample
+		default:
+		}
+		n := goruntime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if !strings.Contains(g, "(*Server).ingestStream(") {
+				continue
+			}
+			// "goroutine 42 [select]:" — the state sits in the brackets.
+			head, _, _ := strings.Cut(g, "\n")
+			if i, j := strings.IndexByte(head, '['), strings.IndexByte(head, ']'); i >= 0 && j > i {
+				state, _, _ := strings.Cut(head[i+1:j], ",")
+				states[state]++
+			}
+		}
+		time.Sleep(5 * time.Millisecond) // the sampling interval: a fixture
+	}
+	if rep.err != nil {
+		t.Fatal(rep.err)
+	}
+	rep.resp.Body.Close()
+	if rep.resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("stalled stream: status %d, want 429 after the stall limit", rep.resp.StatusCode)
+	}
+	if states["sleep"] > 0 || states["select"] == 0 {
+		t.Fatalf("stalled handler states %v: want select, never sleep", states)
+	}
+	t.Logf("stalled handler states over the stall: %v", states)
 }
 
 // TestStreamConcurrentWriters is the -race check for one

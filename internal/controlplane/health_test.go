@@ -71,7 +71,7 @@ func newFaultPlane(t *testing.T) (*runtime.Kernel, *Client, *faultManager) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "first work", func() bool {
+	waitFor(t, k, "first work", func() bool {
 		ep, err := c.Epochs()
 		return err == nil && ep.TotalsPerApp["app"] > 0
 	})
@@ -81,7 +81,7 @@ func newFaultPlane(t *testing.T) (*runtime.Kernel, *Client, *faultManager) {
 // TestRemoveBackendAPI: DELETE /v1/backends/{id} drains and removes a
 // live backend; unknown names 404, the last backend 409.
 func TestRemoveBackendAPI(t *testing.T) {
-	_, c, _ := newFaultPlane(t)
+	k, c, _ := newFaultPlane(t)
 
 	if _, err := c.RemoveBackend("nope"); !IsNotFound(err) {
 		t.Errorf("remove unknown: %v, want 404", err)
@@ -95,7 +95,7 @@ func TestRemoveBackendAPI(t *testing.T) {
 	if st.State != "removed" && st.State != "draining" && st.State != "drained" {
 		t.Errorf("remove state = %q", st.State)
 	}
-	waitFor(t, "b1 gone from listings", func() bool {
+	waitFor(t, k, "b1 gone from listings", func() bool {
 		bks, err := c.Backends()
 		return err == nil && len(bks) == 1 && bks[0].Name == "b0"
 	})
@@ -122,7 +122,7 @@ func TestBackendHealthOverWire(t *testing.T) {
 	k, c, fm := newFaultPlane(t)
 
 	fm.panicNext.Store(true)
-	waitFor(t, "b1 failed over wire", func() bool {
+	waitFor(t, k, "b1 failed over wire", func() bool {
 		bks, err := c.Backends()
 		if err != nil {
 			return false
@@ -147,7 +147,7 @@ func TestBackendHealthOverWire(t *testing.T) {
 	if err := k.ReviveBackend("b1"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "b1 healthy again over wire", func() bool {
+	waitFor(t, k, "b1 healthy again over wire", func() bool {
 		h, err := c.Health()
 		return err == nil && h.BackendsHealthy == 2
 	})
@@ -171,20 +171,20 @@ func TestHealthzDegraded(t *testing.T) {
 	if _, err := c.Register(AppSpec{Name: "app", Workload: WorkloadSpec{Tasks: 1, GFlop: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "first work", func() bool {
+	waitFor(t, k, "first work", func() bool {
 		ep, err := c.Epochs()
 		return err == nil && ep.TotalsPerApp["app"] > 0
 	})
 
 	fm.panicNext.Store(true)
-	waitFor(t, "healthz degraded", func() bool {
+	waitFor(t, k, "healthz degraded", func() bool {
 		h, err := c.Health()
 		return err == nil && h.Status == "degraded" && h.BackendsHealthy == 0
 	})
 	if err := k.ReviveBackend("b0"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "healthz ok again", func() bool {
+	waitFor(t, k, "healthz ok again", func() bool {
 		h, err := c.Health()
 		return err == nil && h.Status == "ok"
 	})
@@ -212,7 +212,7 @@ func TestAppStatusCarriesDropNote(t *testing.T) {
 	if _, err := c.Register(AppSpec{Name: "app", Workload: WorkloadSpec{Tasks: 1, GFlop: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "first work", func() bool {
+	waitFor(t, k, "first work", func() bool {
 		ep, err := c.Epochs()
 		return err == nil && ep.TotalsPerApp["app"] > 0
 	})
@@ -226,7 +226,9 @@ func TestAppStatusCarriesDropNote(t *testing.T) {
 	var failedAt atomic.Int64
 	fm.onPanic = func() { failedAt.Store(ctl.Ticks()) }
 	fm.panicNext.Store(true)
-	waitFor(t, "the next batch to park", func() bool {
+	// A poll: a tick whose batch parks rings nothing, since its epoch
+	// never executes.
+	pollFor(t, "the next batch to park", func() bool {
 		at := failedAt.Load()
 		return at > 0 && k.HealthyBackends() == 0 && ctl.Ticks() > at
 	})
@@ -389,7 +391,8 @@ func TestStreamFlushRedials(t *testing.T) {
 	if ack.Accepted != 5 {
 		t.Errorf("accepted %d samples, want 5", ack.Accepted)
 	}
-	waitFor(t, "samples on app status", func() bool {
+	// A poll: samples are counted at ingest, which rings no kernel event.
+	pollFor(t, "samples on app status", func() bool {
 		st, err := c.App("app")
 		return err == nil && st.Samples == 5
 	})

@@ -109,7 +109,7 @@ func TestPolicyDSLEndToEnd(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	waitFor(t, "dsl policy steering the level down", func() bool {
+	waitFor(t, k, "dsl policy steering the level down", func() bool {
 		st, err := c.App("steered")
 		return err == nil && st.Adaptations > 0 && st.Level <= 0.5
 	})
@@ -141,7 +141,7 @@ end
 		t.Fatalf("swap dropped history: samples %d→%d ticks %d→%d",
 			before.Samples, st.Samples, before.Ticks, st.Ticks)
 	}
-	waitFor(t, "replacement policy restoring the level", func() bool {
+	waitFor(t, k, "replacement policy restoring the level", func() bool {
 		st, err := c.App("steered")
 		return err == nil && st.Level == 1
 	})
@@ -154,7 +154,7 @@ end
 	if st.Policy == nil || st.Policy.Type != PolicyLadder || st.Policy.Swaps != 2 {
 		t.Fatalf("ladder swap status = %+v", st.Policy)
 	}
-	waitFor(t, "ladder stepping down", func() bool {
+	waitFor(t, k, "ladder stepping down", func() bool {
 		st, err := c.App("steered")
 		return err == nil && st.Level == 0.25
 	})
@@ -403,7 +403,7 @@ func TestPolicyFuelMetrics(t *testing.T) {
 		}
 	}()
 	var st AppStatus
-	waitFor(t, "policy decisions accumulating", func() bool {
+	waitFor(t, k, "policy decisions accumulating", func() bool {
 		var err error
 		st, err = c.App("fueled")
 		return err == nil && st.Policy != nil && st.Policy.Decisions > 2
@@ -494,7 +494,7 @@ end
 	}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the isolated decision applied", func() bool {
+	waitFor(t, k, "the isolated decision applied", func() bool {
 		st, err = c.App("dynamic")
 		return err == nil && st.Adaptations > 0 && st.Level == 0.25
 	})

@@ -200,7 +200,7 @@ func TestQuotaStreamResumes(t *testing.T) {
 	_, s, c := newBinaryPlane(t)
 	if _, err := c.Register(AppSpec{
 		Name:  "resumer",
-		Quota: &QuotaSpec{Rate: 5000, Burst: 8},
+		Quota: &QuotaSpec{Rate: 8, Burst: 8},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +216,10 @@ func TestQuotaStreamResumes(t *testing.T) {
 	if !errors.As(err, &api) || api.Status != http.StatusTooManyRequests {
 		t.Fatalf("over-quota stream: %v, want 429", err)
 	}
-	// At rate 5000 the 8-token shortfall refills in ~2ms; the header
-	// still floors at 1s, but the test shortcuts via the bucket clock
-	// rather than sleeping the full second.
+	// At rate 8 the 8-token shortfall refills in 1 s, so the refusal
+	// above holds however late a loaded host sends the second stream
+	// (at rate 5000 a 1.6 ms gap refilled it). The test shortcuts the
+	// wait via the bucket clock rather than sleeping the full second.
 	ra := s.lookupApp("resumer")
 	ra.quota.mu.Lock()
 	ra.quota.last = ra.quota.last.Add(-time.Second)

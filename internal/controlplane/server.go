@@ -920,30 +920,33 @@ var streamStallLimit = 5 * time.Second
 
 // ingestStream is ingest with stream flow control: backpressure waits
 // for the kernel to drain instead of failing, bounded by
-// streamStallLimit and the client hanging up.
+// streamStallLimit and the client hanging up. Only a kernel tick drains
+// an inbox, and every tick is followed by an epoch that rings
+// EpochSignal, so a stalled frame retries once per ring. It subscribes
+// before its first retry, so a drain between the refusal and the
+// subscription is not missed.
 func (s *Server) ingestStream(r *http.Request, ra *remoteApp, samples []runtime.Sample) error {
 	err := s.ingest(ra, samples)
 	if err == nil {
-		return nil
+		return nil // before bp: its address escapes, so declaring it allocates
 	}
 	var bp *backpressureError
 	if !errors.As(err, &bp) {
 		return err
 	}
-	deadline := time.Now().Add(streamStallLimit)
+	sig, cancel := s.kernel.EpochSignal()
+	defer cancel()
+	limit := time.NewTimer(streamStallLimit)
+	defer limit.Stop()
 	for {
-		// Plain sleep, not a select on time.After: this loop can spin
-		// thousands of times per second per stalled stream, and each
-		// time.After would allocate a runtime timer. The client hanging
-		// up is noticed on the next iteration instead of mid-sleep.
-		time.Sleep(200 * time.Microsecond)
-		if r.Context().Err() != nil {
+		if err = s.ingest(ra, samples); err == nil || !errors.As(err, &bp) {
+			return err
+		}
+		select {
+		case <-sig:
+		case <-r.Context().Done():
 			return err // client hung up; surface the last state
-		}
-		if err = s.ingest(ra, samples); err == nil {
-			return nil
-		}
-		if !errors.As(err, &bp) || time.Now().After(deadline) {
+		case <-limit.C:
 			return err
 		}
 	}

@@ -29,7 +29,20 @@ func newTestPlane(t *testing.T) (*runtime.Kernel, *Client) {
 	return k, NewClient(srv.URL, srv.Client())
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+// waitFor blocks on the kernel's epoch signal (see waitEpoch) until
+// cond holds, and fails the test on waitEpoch's timeout. cond must read
+// state whose every change rings the signal: epochs, levels, placement,
+// health, totals, served generations.
+func waitFor(t *testing.T, k *runtime.Kernel, what string, cond func() bool) {
+	t.Helper()
+	if !waitEpoch(k, cond) {
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// pollFor polls cond every 2 ms for up to 10 s. It is for conditions no
+// kernel event rings; each caller says why waitFor does not apply.
+func pollFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for !cond() {
@@ -98,11 +111,11 @@ func TestServerLifecycle(t *testing.T) {
 
 	// Both tenants get admitted and contribute; the overloaded one walks
 	// its ladder down.
-	waitFor(t, "both tenants contributing", func() bool {
+	waitFor(t, k, "both tenants contributing", func() bool {
 		ep, err := c.Epochs()
 		return err == nil && ep.TotalsPerApp["healthy"] > 0 && ep.TotalsPerApp["overloaded"] > 0
 	})
-	waitFor(t, "overloaded tenant adapting", func() bool {
+	waitFor(t, k, "overloaded tenant adapting", func() bool {
 		st, err := c.App("overloaded")
 		return err == nil && st.Adaptations > 0 && st.Level < 1
 	})
@@ -116,7 +129,7 @@ func TestServerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2 → 1 apps also changes the loop count: a rebuild, not a patch.
-	waitFor(t, "membership served after detach", func() bool {
+	waitFor(t, k, "membership served after detach", func() bool {
 		h, err := c.Health()
 		return err == nil && h.Generation == h.ServedGeneration && h.Apps == 1 && h.Rebuilds >= 1
 	})
@@ -127,7 +140,7 @@ func TestServerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "survivor epochs after detach", func() bool {
+	waitFor(t, k, "survivor epochs after detach", func() bool {
 		ep, err := c.Epochs()
 		return err == nil && ep.Epochs >= ep0.Epochs+5 &&
 			ep.TotalsPerApp["overloaded"] > ep0.TotalsPerApp["overloaded"]
@@ -351,7 +364,7 @@ func TestServerConcurrentIngress(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	waitFor(t, "tenants contributing", func() bool {
+	waitFor(t, k, "tenants contributing", func() bool {
 		tp := k.TotalsPerApp()
 		return tp["t0"] > 0 && tp["t1"] > 0
 	})
@@ -444,7 +457,7 @@ func servingEpochAllocs(t *testing.T, timeout time.Duration, n int) epochAllocs 
 		t.Fatal(err)
 	}
 	defer k.Stop()
-	waitFor(t, "warm-up epochs", func() bool { return k.Epochs() >= 20 })
+	waitFor(t, k, "warm-up epochs", func() bool { return k.Epochs() >= 20 })
 	// Stopping the world waits for running goroutines to yield, and a
 	// 16-tenant plane completes hundreds of epochs meanwhile; an epoch
 	// count read beside the heap counters is only theirs when it did
@@ -462,7 +475,7 @@ func servingEpochAllocs(t *testing.T, timeout time.Duration, n int) epochAllocs 
 		return ms, epoch
 	}
 	before, e0 := mark()
-	waitFor(t, "measured epochs", func() bool { return k.Epochs() >= e0+100 })
+	waitFor(t, k, "measured epochs", func() bool { return k.Epochs() >= e0+100 })
 	after, e1 := mark()
 	epochs := float64(e1 - e0)
 	return epochAllocs{float64(after.Mallocs-before.Mallocs) / epochs, float64(after.TotalAlloc-before.TotalAlloc) / epochs}

@@ -38,7 +38,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 const (
@@ -85,14 +84,11 @@ type Record struct {
 	Data []byte
 }
 
-// Options configures Open.
-type Options struct {
-	// SyncWindow is an extra gather delay before each fsync: a commit
-	// waits this long for more appends to join its group. 0 syncs
-	// immediately — concurrent appends still batch behind an fsync
-	// already in flight, which is the natural group commit.
-	SyncWindow time.Duration
-}
+// Options configures Open. It has no fields: appends that land while
+// an fsync is in flight already share the next one, so there is no
+// gather window to tune. The type stays so that callers passing
+// Options{} keep compiling.
+type Options struct{}
 
 // commitGroup is one fsync batch: every Append that joined it blocks
 // on done and shares err.
@@ -107,24 +103,28 @@ type commitGroup struct {
 // both, so every mutation is either before the snapshot and in it, or
 // after it and in the fresh WAL).
 type Log struct {
-	dir    string
-	window time.Duration
+	dir string
+
+	// gate orders appends against quiesce: an Append holds it shared
+	// while it buffers a record, quiesce holds it exclusively. Appends
+	// that keep arriving therefore cannot starve a snapshot or Close.
+	gate sync.RWMutex
 
 	// Recovered state, immutable after Open.
 	snapshot    []byte
 	snapshotSeq uint64
 	entries     []Record
 
-	mu         sync.Mutex
-	f          *os.File
-	buf        []byte // encoded records awaiting the next commit
-	scratch    []byte // recycled buf backing
-	nextSeq    uint64
-	group      *commitGroup // open for joining; nil when none pending
-	committing bool         // a group's write+sync is in flight
-	since      int          // records since the last snapshot
-	err        error        // sticky: a failed sync poisons the log
-	closed     bool
+	mu       sync.Mutex
+	f        *os.File
+	buf      []byte // encoded records awaiting the next commit
+	scratch  []byte // recycled buf backing
+	nextSeq  uint64
+	group    *commitGroup // open for joining; nil when none pending
+	inflight *commitGroup // being written and synced; nil when none
+	since    int          // records since the last snapshot
+	err      error        // sticky: a failed sync poisons the log
+	closed   bool
 
 	groups chan *commitGroup
 	done   chan struct{}
@@ -141,7 +141,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l := &Log{
 		dir:    dir,
-		window: opts.SyncWindow,
 		groups: make(chan *commitGroup, 64),
 		done:   make(chan struct{}),
 	}
@@ -207,29 +206,36 @@ func (l *Log) Append(op byte, data []byte) (uint64, error) {
 	if len(data) > MaxRecord-16 {
 		return 0, fmt.Errorf("durable: record %d bytes exceeds %d", len(data), MaxRecord-16)
 	}
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
+	l.gate.RLock()
+	seq, g, err := l.buffer(op, data)
+	l.gate.RUnlock()
+	if err != nil {
 		return 0, err
 	}
+	<-g.done
+	return seq, g.err
+}
+
+// buffer sequences one record into the open commit group, opening one
+// if none is.
+func (l *Log) buffer(op byte, data []byte) (uint64, *commitGroup, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return 0, nil, l.err
+	}
 	if l.closed {
-		l.mu.Unlock()
-		return 0, errors.New("durable: log is closed")
+		return 0, nil, errors.New("durable: log is closed")
 	}
 	seq := l.nextSeq
 	l.nextSeq++
 	l.since++
 	l.buf = appendRecord(l.buf, op, seq, data)
-	g := l.group
-	if g == nil {
-		g = &commitGroup{done: make(chan struct{})}
-		l.group = g
-		l.groups <- g
+	if l.group == nil {
+		l.group = &commitGroup{done: make(chan struct{})}
+		l.groups <- l.group
 	}
-	l.mu.Unlock()
-	<-g.done
-	return seq, g.err
+	return seq, l.group, nil
 }
 
 // committer serializes commits: one goroutine, FIFO over groups, so
@@ -237,15 +243,12 @@ func (l *Log) Append(op byte, data []byte) (uint64, error) {
 func (l *Log) committer() {
 	defer close(l.done)
 	for g := range l.groups {
-		if l.window > 0 {
-			time.Sleep(l.window) // gather more appends into this group
-		}
 		l.mu.Lock()
 		buf := l.buf
 		l.buf = l.scratch[:0]
 		l.scratch = nil
 		l.group = nil // appends from here join the next group
-		l.committing = true
+		l.inflight = g
 		l.mu.Unlock()
 
 		var err error
@@ -260,34 +263,40 @@ func (l *Log) committer() {
 			l.err = err
 		}
 		l.scratch = buf[:0]
-		l.committing = false
+		l.inflight = nil
 		l.mu.Unlock()
 		g.err = err
 		close(g.done)
 	}
 }
 
-// quiesce waits until no append is buffered or mid-commit, returning
-// with l.mu HELD (and the sticky error, if any, released).
+// quiesce waits until no append is buffered or mid-commit and returns
+// with l.gate and l.mu held: no append starts until the caller releases
+// both. It returns the sticky error, if any, without waiting. With the
+// gate held no group opens, and a buffered record always has an open
+// group, so it waits on the open group, else on the one in flight.
 func (l *Log) quiesce() error {
-	for {
-		l.mu.Lock()
-		if l.err != nil {
-			err := l.err
-			l.mu.Unlock()
-			return err
-		}
-		if l.group == nil && !l.committing && len(l.buf) == 0 {
-			return nil // mu held
-		}
+	l.gate.Lock()
+	l.mu.Lock()
+	for l.err == nil {
 		g := l.group
-		l.mu.Unlock()
-		if g != nil {
-			<-g.done
-		} else {
-			time.Sleep(50 * time.Microsecond) // commit in flight, no channel to wait on
+		if g == nil {
+			g = l.inflight
 		}
+		if g == nil {
+			break
+		}
+		l.mu.Unlock()
+		<-g.done
+		l.mu.Lock()
 	}
+	return l.err
+}
+
+// release undoes quiesce's locks.
+func (l *Log) release() {
+	l.mu.Unlock()
+	l.gate.Unlock()
 }
 
 // WriteSnapshot makes blob the recovery baseline — it must describe
@@ -297,10 +306,11 @@ func (l *Log) quiesce() error {
 // crash between the two leaves old records with seq <= the snapshot's,
 // which replay skips. The caller must not Append concurrently.
 func (l *Log) WriteSnapshot(blob []byte) error {
-	if err := l.quiesce(); err != nil {
+	err := l.quiesce()
+	defer l.release()
+	if err != nil {
 		return err
 	}
-	defer l.mu.Unlock()
 	if l.closed {
 		return errors.New("durable: log is closed")
 	}
@@ -332,16 +342,13 @@ func (l *Log) WriteSnapshot(blob []byte) error {
 // Close flushes pending appends and closes the journal.
 func (l *Log) Close() error {
 	err := l.quiesce()
-	if err != nil {
-		l.mu.Lock()
-	}
 	if l.closed {
-		l.mu.Unlock()
+		l.release()
 		return nil
 	}
 	l.closed = true
 	close(l.groups)
-	l.mu.Unlock()
+	l.release()
 	<-l.done
 	if cerr := l.f.Close(); err == nil {
 		err = cerr

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // reopen closes nothing; it opens a fresh Log over dir and returns the
@@ -269,7 +268,7 @@ func TestCorruptionIsTyped(t *testing.T) {
 // survive a replay — the group-commit batching cannot drop or reorder.
 func TestConcurrentAppendGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SyncWindow: 200 * time.Microsecond})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +300,82 @@ func TestConcurrentAppendGroupCommit(t *testing.T) {
 			t.Fatalf("record %d has seq %d", i, r.Seq)
 		}
 	}
+}
+
+// WriteSnapshot and Close quiesce the log while appends keep arriving:
+// each waits out the open group and the commit in flight, then holds
+// the log. Every Append that returned nil must survive the replay,
+// either covered by the snapshot or as a WAL record with its own data,
+// and the replay holds nothing that was not acked.
+func TestSnapshotAndCloseRaceAppends(t *testing.T) {
+	dir := t.TempDir()
+	l := reopen(t, dir)
+	const G = 8
+	acked := make([]map[uint64][]byte, G)
+	var started, wg sync.WaitGroup
+	started.Add(G)
+	for g := 0; g < G; g++ {
+		acked[g] = make(map[uint64][]byte)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				data := []byte(fmt.Sprintf("g%d-%d", g, i))
+				seq, err := l.Append(byte(g), data)
+				if i == 0 {
+					started.Done()
+				}
+				if err != nil {
+					return // closed
+				}
+				acked[g][seq] = data
+			}
+		}(g)
+	}
+	started.Wait()
+	for s := 0; s < 5; s++ {
+		if err := l.WriteSnapshot([]byte("snap")); err != nil {
+			t.Fatalf("WriteSnapshot %d: %v", s, err)
+		}
+	}
+	snapDone := make(chan struct{})
+	go func() {
+		defer close(snapDone)
+		for l.WriteSnapshot([]byte("snap")) == nil {
+		}
+	}()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	<-snapDone
+
+	l2 := reopen(t, dir)
+	snapSeq, _ := l2.Snapshot()
+	replayed := make(map[uint64][]byte)
+	for i, r := range l2.Entries() {
+		if r.Seq != snapSeq+uint64(i)+1 {
+			t.Fatalf("entry %d has seq %d after snapshot seq %d", i, r.Seq, snapSeq)
+		}
+		replayed[r.Seq] = r.Data
+	}
+	n, total := 0, 0
+	for g := range acked {
+		for seq, data := range acked[g] {
+			total++
+			if seq <= snapSeq {
+				continue
+			}
+			n++
+			if got, ok := replayed[seq]; !ok || !bytes.Equal(got, data) {
+				t.Fatalf("acked seq %d (%q) replayed as %q, present %v", seq, data, got, ok)
+			}
+		}
+	}
+	if n != len(replayed) {
+		t.Fatalf("replay holds %d records after the snapshot, %d were acked", len(replayed), n)
+	}
+	t.Logf("%d appends acked, %d covered by the last snapshot (seq %d)", total, total-n, snapSeq)
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {

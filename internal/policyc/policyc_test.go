@@ -446,7 +446,9 @@ func TestIsolatedPolicyNoGoroutine(t *testing.T) {
 		pol.Decide(monitor.Decision{Adapt: true}, nil)
 		pols[i] = pol
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	// "Added none", not "unchanged": a goroutine another test left
+	// behind may exit between the two reads.
+	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("100 isolated policies: %d goroutines, was %d", after, before)
 	}
 }
