@@ -122,7 +122,8 @@ end
 		if p == nil || p.Type != controlplane.PolicyDSL {
 			log.Fatalf("registered dsl policy not reported: %+v", p)
 		}
-		log.Printf("compiled %s policy for %s: %s (%s)", p.Class, burstyName, p.SourceHash, p.ClassReason)
+		log.Printf("compiled dsl policy for %s: %s (fuel budget %d, deadline %d ticks)",
+			burstyName, p.SourceHash, p.FuelBudget, p.DecisionDeadlineTicks)
 	}
 	log.Printf("registered tenants %s + %s (membership epoch %d -> %d)", steadyName, burstyName, gen0, mustGen(c))
 

@@ -127,7 +127,7 @@ func TestJournalRecoveryRoundTrip(t *testing.T) {
 	if compiled.Policy == nil || compiled.Policy.Type != PolicyDSL {
 		t.Fatalf("dsl policy = %+v", compiled.Policy)
 	}
-	if compiled.Policy.SourceHash == "" || compiled.Policy.Class != "inline" {
+	if compiled.Policy.SourceHash == "" || compiled.Policy.DecisionDeadlineTicks != 10 {
 		t.Errorf("dsl policy not recompiled: %+v", compiled.Policy)
 	}
 	if n := k2.NumBackends(); n != 2 {

@@ -27,8 +27,8 @@ const (
 // no goroutine, so a swapped-out or detached one is simply dropped.
 type appPolicy struct {
 	spec PolicySpec
-	prog *policyc.Program     // nil for ladder
-	kp   policyc.KernelPolicy // nil for ladder
+	prog *policyc.Program  // nil for ladder
+	kp   *policyc.VMPolicy // nil for ladder
 }
 
 // rejectLegacyLevels refuses the removed top-level "levels" alias. It

@@ -17,8 +17,8 @@ import (
 )
 
 // steerPolicy sheds load proportionally to the violation: each firing
-// decision multiplies the current level down. Inline-classifiable —
-// straight-line arithmetic over one knob and the violation input.
+// decision multiplies the current level down: straight-line arithmetic
+// over one knob and the violation input, one slice per decision.
 const steerPolicy = `
 aspectdef Steer
 	input gain end
@@ -29,8 +29,9 @@ aspectdef Steer
 end
 `
 
-// recursivePolicy has an aspect-call cycle: statically unbounded, so
-// admission must classify it isolation-required rather than reject it.
+// recursivePolicy has an aspect-call cycle: its decision is unbounded,
+// yet admission accepts it — the fuel budget and the call-depth limit
+// bound it at run time.
 const recursivePolicy = `
 aspectdef Ping
 	call Pong();
@@ -79,7 +80,7 @@ func TestPolicyDSLEndToEnd(t *testing.T) {
 		t.Fatalf("initial level = %g, want 1", st.Level)
 	}
 
-	// GET round-trips the compiled policy: source hash and class.
+	// GET round-trips the compiled policy's source hash.
 	st, err = c.App("steered")
 	if err != nil {
 		t.Fatal(err)
@@ -89,9 +90,6 @@ func TestPolicyDSLEndToEnd(t *testing.T) {
 	}
 	if !strings.HasPrefix(st.Policy.SourceHash, "sha256:") {
 		t.Errorf("source hash = %q, want sha256:...", st.Policy.SourceHash)
-	}
-	if st.Policy.Class != "inline" {
-		t.Errorf("class = %q (%s), want inline", st.Policy.Class, st.Policy.ClassReason)
 	}
 	if st.Policy.Swaps != 0 {
 		t.Errorf("swaps = %d before any PUT", st.Policy.Swaps)
@@ -106,7 +104,7 @@ func TestPolicyDSLEndToEnd(t *testing.T) {
 				{Metric: monitor.MetricLatency, Value: 5},
 				{Metric: monitor.MetricLatency, Value: 5},
 			})
-			time.Sleep(time.Millisecond)
+			time.Sleep(time.Millisecond) // producer pacing, a fixture: a steady feed, not a wait
 		}
 	}()
 	waitFor(t, k, "dsl policy steering the level down", func() bool {
@@ -288,9 +286,9 @@ func TestPolicyValidation(t *testing.T) {
 	}
 }
 
-// TestPolicyIsolatedOverAPI: a statically unbounded policy (aspect
-// recursion) is admitted but classified isolation-required, and the
-// classification is visible on the status.
+// TestPolicyIsolatedOverAPI: an unbounded policy (aspect recursion) is
+// admitted like any other, reports the shared fuel budget and decision
+// deadline, and detaches with nothing to tear down.
 func TestPolicyIsolatedOverAPI(t *testing.T) {
 	_, c := newTestPlane(t)
 	st, err := c.Register(AppSpec{
@@ -300,11 +298,8 @@ func TestPolicyIsolatedOverAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Policy == nil || st.Policy.Class != "isolated" {
-		t.Fatalf("policy status = %+v, want isolated class", st.Policy)
-	}
-	if !strings.Contains(st.Policy.ClassReason, "cycle") {
-		t.Errorf("class reason = %q, want a cycle mention", st.Policy.ClassReason)
+	if st.Policy == nil || st.Policy.Type != PolicyDSL || st.Policy.FuelBudget != 1<<20 {
+		t.Fatalf("policy status = %+v, want a dsl policy on the 2^20 fuel budget", st.Policy)
 	}
 	if err := c.Detach("runaway"); err != nil {
 		t.Fatal(err) // the policy owns nothing detach must tear down
@@ -399,7 +394,7 @@ func TestPolicyFuelMetrics(t *testing.T) {
 				{Metric: monitor.MetricLatency, Value: 5},
 				{Metric: monitor.MetricLatency, Value: 5},
 			})
-			time.Sleep(time.Millisecond)
+			time.Sleep(time.Millisecond) // producer pacing, a fixture: a steady feed, not a wait
 		}
 	}()
 	var st AppStatus
@@ -419,9 +414,10 @@ func TestPolicyFuelMetrics(t *testing.T) {
 	if p.FuelUsedMax < p.FuelUsedLast {
 		t.Errorf("fuel_used_max %d < fuel_used_last %d", p.FuelUsedMax, p.FuelUsedLast)
 	}
-	// An inline policy reports no isolation accounting.
-	if p.Class == "inline" && (p.DeadlineDrops != 0 || p.DecisionDeadlineTicks != 0) {
-		t.Errorf("inline policy reports isolation metrics: %+v", p)
+	// Every dsl policy runs under the same deadline; a one-slice
+	// decision is never late.
+	if p.DecisionDeadlineTicks != 10 || p.DeadlineDrops != 0 {
+		t.Errorf("deadline accounting = %d ticks, %d drops; want 10, 0", p.DecisionDeadlineTicks, p.DeadlineDrops)
 	}
 	// The ladder arm reports no fuel accounting at all.
 	lst, err := c.Register(AppSpec{
@@ -436,29 +432,29 @@ func TestPolicyFuelMetrics(t *testing.T) {
 	}
 }
 
-// TestPolicyDeadlineMetrics: an isolation-classified policy reports
+// TestPolicyDeadlineMetrics: an unbounded (recursive) policy reports
 // its decision deadline, counted in its own ticks, through the status
 // endpoint.
 func TestPolicyDeadlineMetrics(t *testing.T) {
 	_, c := newTestPlane(t)
 	st, err := c.Register(AppSpec{
-		Name:   "isolated",
+		Name:   "unbounded",
 		Policy: &PolicySpec{Type: PolicyDSL, Source: recursivePolicy},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Policy == nil || st.Policy.Class != "isolated" {
-		t.Fatalf("policy = %+v, want isolated class", st.Policy)
+	if st.Policy == nil {
+		t.Fatal("no policy status")
 	}
 	if st.Policy.DecisionDeadlineTicks != 10 {
 		t.Errorf("decision_deadline_ticks = %d, want 10", st.Policy.DecisionDeadlineTicks)
 	}
 }
 
-// TestIsolatedPolicyAdaptsUnderKernel: an isolated (apply dynamic)
-// policy's decision runs on a running kernel's tick and lands: the
-// level it writes is applied.
+// TestIsolatedPolicyAdaptsUnderKernel: an `apply dynamic` policy's
+// decision runs on a running kernel's tick and lands: the level it
+// writes is applied.
 func TestIsolatedPolicyAdaptsUnderKernel(t *testing.T) {
 	k, c := newTestPlane(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -485,8 +481,8 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Policy == nil || st.Policy.Class != "isolated" || st.Level != 1 {
-		t.Fatalf("registered %+v at level %g, want isolated at 1", st.Policy, st.Level)
+	if st.Policy == nil || st.Policy.Type != PolicyDSL || st.Level != 1 {
+		t.Fatalf("registered %+v at level %g, want a dsl policy at 1", st.Policy, st.Level)
 	}
 	if _, err := c.Observe("dynamic", []Observation{
 		{Metric: monitor.MetricLatency, Value: 5},
@@ -494,7 +490,7 @@ end
 	}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, k, "the isolated decision applied", func() bool {
+	waitFor(t, k, "the dynamic decision applied", func() bool {
 		st, err = c.App("dynamic")
 		return err == nil && st.Adaptations > 0 && st.Level == 0.25
 	})

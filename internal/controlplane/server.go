@@ -983,13 +983,9 @@ func (s *Server) status(ra *remoteApp, totals map[string]float64) AppStatus {
 			Levels: ap.spec.Levels,
 			Swaps:  ra.swaps.Load(),
 		}
-		if ap.prog != nil {
-			ps.SourceHash = ap.prog.SourceHash
-			ps.Class = ap.prog.Class.String()
-			ps.ClassReason = ap.prog.ClassReason
-		}
 		if ap.kp != nil {
 			m := ap.kp.Metrics()
+			ps.SourceHash = ap.prog.SourceHash
 			ps.Decisions = m.Decisions
 			ps.FuelBudget = m.FuelBudget
 			ps.FuelUsedLast = m.FuelUsedLast

@@ -118,7 +118,8 @@ type PolicySpec struct {
 }
 
 // PolicyStatus reports the active policy on AppStatus — the read-side
-// shape of the spec plus the compile verdict for dsl policies.
+// shape of the spec plus, for dsl policies, the compiled revision and
+// its execution accounting.
 type PolicyStatus struct {
 	Type   string    `json:"type"`
 	Levels []float64 `json:"levels,omitempty"`
@@ -126,13 +127,6 @@ type PolicyStatus struct {
 	// confirm which revision is live without the server echoing the
 	// program back.
 	SourceHash string `json:"source_hash,omitempty"`
-	// Class is the static-analysis verdict for dsl policies: "inline"
-	// (pure and bounded: a decision runs whole in one tick) or
-	// "isolated" (a decision runs in bounded slices, one per tick, under
-	// a deadline counted in ticks).
-	Class string `json:"class,omitempty"`
-	// ClassReason explains the classification.
-	ClassReason string `json:"class_reason,omitempty"`
 	// Swaps counts successful PUT /v1/apps/{id}/policy calls.
 	Swaps int64 `json:"swaps,omitempty"`
 	// Execution accounting for dsl policies (zero/omitted for ladder):
@@ -144,9 +138,10 @@ type PolicyStatus struct {
 	FuelBudget   int64 `json:"fuel_budget,omitempty"`
 	FuelUsedLast int64 `json:"fuel_used_last,omitempty"`
 	FuelUsedMax  int64 `json:"fuel_used_max,omitempty"`
-	// DecisionDeadlineTicks is how many ticks an isolated decision may
-	// span and still be applied; DeadlineDrops counts completed ones
-	// that spanned more. Both are omitted for inline policies.
+	// A dsl decision runs in bounded slices, one per tick: a small one
+	// lands in its first tick. DecisionDeadlineTicks is how many ticks a
+	// decision may span and still be applied; DeadlineDrops counts
+	// completed ones that spanned more.
 	DeadlineDrops         int64 `json:"deadline_drops,omitempty"`
 	DecisionDeadlineTicks int64 `json:"decision_deadline_ticks,omitempty"`
 }

@@ -31,7 +31,6 @@ type lowerer struct {
 
 	// per-aspect state
 	fn    *ir.Function
-	cur   string         // aspect being lowered
 	slots map[string]int // input/output/call-label name → local slot
 
 	metricSeen map[MetricRef]bool
@@ -45,11 +44,7 @@ func newLowerer(f *dsl.File) *lowerer {
 		metricSeen: make(map[MetricRef]bool),
 		knobSeen:   make(map[string]bool),
 	}
-	l.prog = &Program{
-		Module:  ir.NewModule(),
-		dynamic: make(map[string]bool),
-		calls:   make(map[string][]callEdge),
-	}
+	l.prog = &Program{Module: ir.NewModule()}
 	return l
 }
 
@@ -85,7 +80,6 @@ func (l *lowerer) lower() *Program {
 
 func (l *lowerer) lowerAspect(a *dsl.Aspect) {
 	l.fn = &ir.Function{Name: entryPrefix + a.Name, NParams: len(a.Inputs)}
-	l.cur = a.Name
 	l.slots = make(map[string]int, len(a.Inputs)+len(a.Outputs))
 	for _, in := range a.Inputs {
 		if _, dup := l.slots[in]; dup {
@@ -137,10 +131,9 @@ func (l *lowerer) lowerAspect(a *dsl.Aspect) {
 	l.prog.Module.Add(l.fn)
 }
 
+// lowerApply lowers `apply` and `apply dynamic` alike: every policy
+// already decides on the tick, in resumable slices.
 func (l *lowerer) lowerApply(s *dsl.ApplyStmt, cond dsl.Expr) {
-	if s.Dynamic {
-		l.prog.dynamic[l.cur] = true
-	}
 	var patch int = -1
 	if cond != nil {
 		l.lowerExpr(cond)
@@ -226,7 +219,6 @@ func (l *lowerer) lowerCall(label, aspect string, args []dsl.Expr, pos dsl.Pos) 
 	for _, arg := range args {
 		l.lowerExpr(arg)
 	}
-	l.prog.calls[l.cur] = append(l.prog.calls[l.cur], callEdge{callee: aspect, pos: pos})
 	l.emit(ir.Instr{Op: ir.OpCall, Sym: entryPrefix + aspect, A: len(args)})
 	if label == "" {
 		l.emit(ir.Instr{Op: ir.OpPop})

@@ -12,18 +12,6 @@ import (
 	"repro/internal/monitor"
 )
 
-// KernelPolicy is what New returns. Decide matches runtime.Policy
-// structurally — the kernel accepts these without policyc importing the
-// runtime package. A policy owns no goroutine or resource: dropping it
-// is enough, and Close, kept for existing callers, does nothing.
-// Metrics is a lock-free snapshot of the execution counters, safe to
-// call concurrently with Decide.
-type KernelPolicy interface {
-	Decide(d monitor.Decision, sums map[string]monitor.Summary) (autotune.Config, bool)
-	Metrics() Metrics
-	Close() error
-}
-
 // Metrics is a point-in-time view of one policy instance's execution
 // accounting — the observability needed to see a near-quarantine
 // program (fuel creeping toward the budget, decisions going stale)
@@ -38,9 +26,8 @@ type Metrics struct {
 	FuelBudget   int64
 	FuelUsedLast int64
 	FuelUsedMax  int64
-	// DeadlineDrops counts completed decisions an isolated policy
-	// discarded for spanning more than DecisionDeadlineTicks Decide
-	// calls. Both are zero for inline policies.
+	// DeadlineDrops counts completed decisions discarded for spanning
+	// more than DecisionDeadlineTicks Decide calls.
 	DeadlineDrops         int64
 	DecisionDeadlineTicks int64
 }
@@ -54,26 +41,39 @@ type Options struct {
 	KnobValue func(name string) float64
 }
 
-// decisionDeadlineTicks bounds how many Decide calls an isolated
-// decision may span and still be honoured: the shipped 50 ms decision
-// deadline over the shipped 5 ms tick interval.
+// sliceCycles is the most cycles one Decide runs of the decision in
+// flight. The bar is deliberately low: a decision runs inside the commit
+// window the epoch fights to keep short. A small, loop-free strategy —
+// every policy the bench or the examples ship — finishes in one slice;
+// a longer one resumes on the next call.
+const sliceCycles = 4096
+
+// decisionFuel is the per-decision fuel budget. Big enough for any sane
+// strategy, small enough that a runaway policy dies within 256 slices.
+const decisionFuel = 1 << 20
+
+// decisionDeadlineTicks bounds how many Decide calls a decision may
+// span and still be honoured: the shipped 50 ms decision deadline over
+// the shipped 5 ms tick interval.
 const decisionDeadlineTicks = 10
 
 // New instantiates a compiled program as a *VMPolicy with its own
 // globals namespace, so one Program can back many apps.
-func New(p *Program, opts Options) (KernelPolicy, error) {
+func New(p *Program, opts Options) (*VMPolicy, error) {
 	if p == nil || p.Module == nil || p.Module.Funcs[p.Entry] == nil {
 		return nil, fmt.Errorf("policyc: program has no entry function")
 	}
 	return newVMPolicy(p, opts), nil
 }
 
-// VMPolicy runs compiled bytecode on the tick path: an inline decision
-// whole in one Decide, an isolated one in slices of inlineCostBudget
-// cycles — an inline decision's bound — one per Decide. Any VM error —
-// out of fuel, division by zero, NaN knob write — panics out of Decide;
-// the kernel's tick-path recover turns that into per-app quarantine,
-// exactly like a panicking Go policy.
+// VMPolicy runs compiled bytecode on the tick path, one slice of at
+// most 4 096 cycles per Decide. Decide matches runtime.Policy
+// structurally — the kernel accepts a VMPolicy without policyc
+// importing the runtime package. A policy owns no goroutine or
+// resource: dropping it is enough. Any VM error — out of fuel, division
+// by zero, NaN knob write — panics out of Decide; the kernel's tick-path
+// recover turns that into per-app quarantine, exactly like a panicking
+// Go policy.
 type VMPolicy struct {
 	mu   sync.Mutex
 	prog *Program
@@ -120,11 +120,8 @@ func newVMPolicy(p *Program, opts Options) *VMPolicy {
 		vm:        ir.NewVM(mod),
 		knobValue: func(string) float64 { return 0 },
 		scratch:   make(map[string]float64, 2),
-		slice:     math.MaxInt64,
+		slice:     sliceCycles,
 		deadline:  decisionDeadlineTicks,
-	}
-	if p.Class == Isolated {
-		vp.slice = inlineCostBudget
 	}
 	if opts.KnobValue != nil {
 		vp.knobValue = opts.KnobValue
@@ -184,7 +181,7 @@ func (vp *VMPolicy) Decide(d monitor.Decision, sums map[string]monitor.Summary) 
 		vp.marshalIn(d, sums)
 		vp.hold = false
 		clear(vp.scratch)
-		vp.vm.Fuel = vp.prog.Fuel
+		vp.vm.Fuel = decisionFuel
 		vp.vm.Start(vp.prog.Entry, vp.args...)
 		vp.inflight, vp.calls = true, 0
 	}
@@ -199,7 +196,7 @@ func (vp *VMPolicy) Decide(d monitor.Decision, sums map[string]monitor.Summary) 
 		// stall a commit.
 		panic(fmt.Sprintf("policyc: policy %s: %v", vp.prog.AspectName, err))
 	}
-	used := vp.prog.Fuel - vp.vm.Fuel
+	used := decisionFuel - vp.vm.Fuel
 	vp.decisions.Add(1)
 	vp.fuelLast.Store(used)
 	if used > vp.fuelMax.Load() {
@@ -247,20 +244,19 @@ func (vp *VMPolicy) marshalIn(d monitor.Decision, sums map[string]monitor.Summar
 	}
 }
 
-// Close implements KernelPolicy; there is nothing to release.
+// Close does nothing: a policy holds nothing to release. It stays for
+// callers that close what they build.
 func (vp *VMPolicy) Close() error { return nil }
 
-// Metrics implements KernelPolicy.
+// Metrics is a lock-free snapshot of the execution counters, safe to
+// call concurrently with Decide.
 func (vp *VMPolicy) Metrics() Metrics {
-	m := Metrics{
-		Decisions:     vp.decisions.Load(),
-		FuelBudget:    vp.prog.Fuel,
-		FuelUsedLast:  vp.fuelLast.Load(),
-		FuelUsedMax:   vp.fuelMax.Load(),
-		DeadlineDrops: vp.drops.Load(), // an inline decision is never late
+	return Metrics{
+		Decisions:             vp.decisions.Load(),
+		FuelBudget:            decisionFuel,
+		FuelUsedLast:          vp.fuelLast.Load(),
+		FuelUsedMax:           vp.fuelMax.Load(),
+		DeadlineDrops:         vp.drops.Load(),
+		DecisionDeadlineTicks: int64(vp.deadline),
 	}
-	if vp.prog.Class == Isolated {
-		m.DecisionDeadlineTicks = int64(vp.deadline)
-	}
-	return m
 }

@@ -5,21 +5,21 @@
 // and the split-compilation IR existed since the seed, but policies the
 // kernel actually ran were hand-written Go ladders. policyc closes the
 // loop — a tenant posts LARA-style aspect source, Compile lowers it to
-// IR bytecode, a static-analysis pass classifies it as inline-safe or
-// isolation-required, and New wraps it in a fuel-bounded policy whose
-// Decide signature matches runtime.Policy structurally (no runtime
-// import; the interfaces match by shape).
+// IR bytecode, and New wraps it in a fuel-bounded policy whose Decide
+// signature matches runtime.Policy structurally (no runtime import; the
+// interfaces match by shape).
 //
 // The policy dialect is the DSL grammar minus source weaving: no
 // select (there is no program to select join points from), no insert
 // templates, no weaver actions. An aspect's inputs are bound from
 // per-app parameters; metric summaries and the SLA decision are
 // marshalled in as IR globals; knob writes come back out through the
-// set/scale/hold externs. An isolated policy runs its decision in
-// bounded slices on the tick, not on a goroutine. A runaway or crashing
-// policy burns its fuel budget and panics out of Decide, which the
-// kernel's tick-path recover converts to per-app quarantine — it can
-// never stall a commit.
+// set/scale/hold externs. Every policy runs its decision on the tick in
+// bounded slices, one per Decide, on a resumable VM: a small decision
+// finishes in its first slice, a long one resumes on later ticks, and
+// none runs on a goroutine. A runaway or crashing policy burns its fuel
+// budget and panics out of Decide, which the kernel's tick-path recover
+// converts to per-app quarantine — it can never stall a commit.
 package policyc
 
 import (
@@ -31,28 +31,6 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/ir"
 )
-
-// Class is the static-analysis verdict for a compiled policy.
-type Class int
-
-// Classification outcomes.
-const (
-	// Inline policies are pure and bounded: they run synchronously on
-	// the epoch tick path.
-	Inline Class = iota
-	// Isolated policies (dynamic applies, call cycles, or worst-case
-	// cost over budget) run on the tick path in slices of the inline
-	// budget, one per Decide, under a deadline counted in calls.
-	Isolated
-)
-
-// String renders the class for status APIs.
-func (c Class) String() string {
-	if c == Isolated {
-		return "isolated"
-	}
-	return "inline"
-}
 
 // Diag is one compile diagnostic with a 1-based source position. The
 // JSON shape is what the control plane returns in the error envelope's
@@ -104,8 +82,8 @@ type KnobRef struct {
 }
 
 // Program is a compiled policy: IR bytecode plus the interface
-// metadata (metric reads, knob writes, classification) the runtime
-// marshalling layer and the control plane status API need.
+// metadata (metric reads, knob writes) the runtime marshalling layer
+// and the control plane status API need.
 type Program struct {
 	Module *ir.Module
 	// Entry is the module function name of the entry aspect.
@@ -122,32 +100,13 @@ type Program struct {
 	// ReadsViolation reports whether the policy reads the SLA
 	// decision's violation magnitude.
 	ReadsViolation bool
-	// Class and ClassReason are the static-analysis verdict.
-	Class       Class
-	ClassReason string
-	// WorstCost is the worst-case cycle cost of one decision (upper
-	// bound; exact for inline policies, which are loop-free). Zero for
-	// policies whose cost is unbounded (call cycles).
-	WorstCost int64
-	// Fuel is the per-decision fuel budget New installs in the VM.
-	Fuel int64
 	// SourceHash is "sha256:<hex>" over the source text, reported by
 	// the status API so tenants can confirm which revision is live.
 	SourceHash string
-
-	// dynamic marks aspects containing `apply dynamic`, and calls maps
-	// caller aspect name to callees; both feed the analysis pass.
-	dynamic map[string]bool
-	calls   map[string][]callEdge
 }
 
-type callEdge struct {
-	callee string
-	pos    dsl.Pos
-}
-
-// Compile parses, lowers, and classifies DSL policy source. Errors are
-// always *CompileError with 1-based line/col diagnostics.
+// Compile parses and lowers DSL policy source. Errors are always
+// *CompileError with 1-based line/col diagnostics.
 func Compile(src string) (*Program, error) {
 	f, err := dsl.Parse(src)
 	if err != nil {
@@ -165,7 +124,6 @@ func Compile(src string) (*Program, error) {
 		}
 		return nil, &CompileError{Diags: l.diags}
 	}
-	analyze(prog)
 	sum := sha256.Sum256([]byte(src))
 	prog.SourceHash = "sha256:" + hex.EncodeToString(sum[:])
 	return prog, nil

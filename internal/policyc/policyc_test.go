@@ -32,9 +32,6 @@ func TestCompileSteer(t *testing.T) {
 	if p.AspectName != "Steer" || p.Entry != "aspect:Steer" {
 		t.Fatalf("entry = %s/%s", p.AspectName, p.Entry)
 	}
-	if p.Class != Inline {
-		t.Fatalf("class = %v (%s), want inline", p.Class, p.ClassReason)
-	}
 	if !p.ReadsViolation {
 		t.Fatal("ReadsViolation = false")
 	}
@@ -43,9 +40,6 @@ func TestCompileSteer(t *testing.T) {
 	}
 	if !strings.HasPrefix(p.SourceHash, "sha256:") || len(p.SourceHash) != len("sha256:")+64 {
 		t.Fatalf("source hash = %q", p.SourceHash)
-	}
-	if p.WorstCost <= 0 || p.Fuel <= p.WorstCost {
-		t.Fatalf("cost/fuel = %d/%d", p.WorstCost, p.Fuel)
 	}
 }
 
@@ -150,11 +144,7 @@ aspectdef Shift
 	end
 end
 `
-	p := compileOK(t, src)
-	if p.Class != Inline {
-		t.Fatalf("class = %v (%s)", p.Class, p.ClassReason)
-	}
-	pol, err := New(p, Options{Params: map[string]float64{"bias": 3}})
+	pol, err := New(compileOK(t, src), Options{Params: map[string]float64{"bias": 3}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -237,6 +227,10 @@ func TestCompileDiagnostics(t *testing.T) {
 	}
 }
 
+// TestClassifyDynamicIsolated keeps the name of the test that once
+// classified `apply dynamic` as needing isolation. There is one kind of
+// policy now: a dynamic apply compiles like any other and a cheap
+// dynamic decision lands in its first Decide.
 func TestClassifyDynamicIsolated(t *testing.T) {
 	src := `
 aspectdef Dyn
@@ -245,43 +239,66 @@ aspectdef Dyn
 	end
 end
 `
-	p := compileOK(t, src)
-	if p.Class != Isolated || !strings.Contains(p.ClassReason, "dynamic") {
-		t.Fatalf("class = %v (%s)", p.Class, p.ClassReason)
+	pol, err := New(compileOK(t, src), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Fuel != isolatedFuel {
-		t.Fatalf("fuel = %d", p.Fuel)
+	cfg, ok := pol.Decide(monitor.Decision{Adapt: true}, nil)
+	if !ok || cfg["level"] != 1 || pol.inflight {
+		t.Fatalf("first Decide = %v %v (in flight %v), want level=1", cfg, ok, pol.inflight)
+	}
+	if m := pol.Metrics(); m.Decisions != 1 || m.FuelBudget != decisionFuel {
+		t.Fatalf("metrics = %+v", m)
 	}
 }
 
+// TestClassifyRecursionIsolated keeps the name of the test that once
+// classified a call cycle as needing isolation. A self-recursive
+// runaway still panics out of Decide — the tick path's quarantine
+// signal — within a bounded number of calls, and never returns a
+// change on the way.
 func TestClassifyRecursionIsolated(t *testing.T) {
-	src := `
-aspectdef Ping
-	call Pong();
-end
-aspectdef Pong
-	call Ping();
-end
-`
-	p := compileOK(t, src)
-	if p.Class != Isolated || !strings.Contains(p.ClassReason, "cycle") {
-		t.Fatalf("class = %v (%s)", p.Class, p.ClassReason)
+	pol, err := New(compileOK(t, "aspectdef A\n\tcall A();\nend"), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.WorstCost != 0 {
-		t.Fatalf("worst cost = %d, want 0 (unbounded)", p.WorstCost)
+	calls := 0
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(r.(string), "depth") {
+			t.Fatalf("panic = %v, want the call-depth error", r)
+		}
+		if calls > 2 {
+			t.Fatalf("runaway panicked after %d Decide calls, want at most 2", calls)
+		}
+	}()
+	for calls < decisionDeadlineTicks {
+		calls++
+		if cfg, ok := pol.Decide(monitor.Decision{Adapt: true}, nil); ok {
+			t.Fatalf("call %d: runaway returned %v", calls, cfg)
+		}
 	}
+	t.Fatalf("no panic in %d Decide calls", calls)
 }
 
+// TestClassifyCostIsolated keeps the name of the test that once
+// classified an over-budget program as needing isolation. A decision
+// costing more than one slice spans several Decide calls and lands.
 func TestClassifyCostIsolated(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("aspectdef Big\n\tapply\n")
-	for i := 0; i < 200; i++ {
-		b.WriteString("\t\tdo Set('level', 1 + 2 + 3 + 4);\n")
+	pol, err := New(compileOK(t, bigPolicy(300)), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.WriteString("\tend\nend\n")
-	p := compileOK(t, b.String())
-	if p.Class != Isolated || !strings.Contains(p.ClassReason, "inline budget") {
-		t.Fatalf("class = %v (%s), cost %d", p.Class, p.ClassReason, p.WorstCost)
+	calls := 0
+	for pol.inflight || calls == 0 {
+		calls++
+		cfg, ok := pol.Decide(monitor.Decision{Adapt: true}, nil)
+		if !pol.inflight && (!ok || cfg["level"] != 10) {
+			t.Fatalf("decision landed as %v %v, want level=10", cfg, ok)
+		}
+	}
+	if m := pol.Metrics(); calls < 2 || m.FuelUsedLast <= sliceCycles || m.DeadlineDrops != 0 {
+		t.Fatalf("%d calls, metrics %+v: want a multi-slice decision honoured", calls, m)
 	}
 }
 
@@ -325,7 +342,7 @@ end
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	pol.(*VMPolicy).deadline = 0 // even a one-call decision is late
+	pol.deadline = 0 // even a one-call decision is late
 	for i := 0; i < 50; i++ {
 		if cfg, ok := pol.Decide(monitor.Decision{Adapt: true}, nil); ok {
 			t.Fatalf("stale decision honoured: %v", cfg)
@@ -366,7 +383,8 @@ end
 	t.Fatal("second Decide returned")
 }
 
-// bigPolicy is an over-budget policy: n straight-line knob writes.
+// bigPolicy is n straight-line knob writes, 19 cycles each: past 215
+// writes a decision outlasts one slice.
 func bigPolicy(n int) string {
 	var b strings.Builder
 	b.WriteString("aspectdef Big\n\tapply\n")
@@ -378,7 +396,7 @@ func bigPolicy(n int) string {
 }
 
 // TestIsolatedSliceBound: a decision that outlasts many slices never
-// runs more than one inline budget of cycles in one Decide, resumes
+// runs more than one slice of cycles in one Decide, resumes
 // where it stopped, and — past the deadline's count of calls — is
 // dropped and counted.
 func TestIsolatedSliceBound(t *testing.T) {
@@ -391,16 +409,15 @@ func TestIsolatedSliceBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vp := pol.(*VMPolicy)
 		calls := 0
 		for {
 			calls++
-			before := vp.vm.Cycles
+			before := pol.vm.Cycles
 			cfg, ok := pol.Decide(d, nil)
-			if ran := vp.vm.Cycles - before; ran > inlineCostBudget {
-				t.Fatalf("%d writes: one Decide ran %d cycles, over the %d slice", c.writes, ran, inlineCostBudget)
+			if ran := pol.vm.Cycles - before; ran > sliceCycles {
+				t.Fatalf("%d writes: one Decide ran %d cycles, over the %d slice", c.writes, ran, sliceCycles)
 			}
-			if !vp.inflight {
+			if !pol.inflight {
 				if honoured := c.drops == 0; ok != honoured || (ok && cfg["level"] != 10) {
 					t.Fatalf("%d writes: finished after %d calls with %v %v", c.writes, calls, cfg, ok)
 				}
@@ -411,8 +428,8 @@ func TestIsolatedSliceBound(t *testing.T) {
 			}
 		}
 		m := pol.Metrics()
-		if calls < 2 || m.FuelUsedLast != vp.vm.Cycles || m.DeadlineDrops != c.drops {
-			t.Fatalf("%d writes: %d calls, %d cycles, metrics %+v", c.writes, calls, vp.vm.Cycles, m)
+		if calls < 2 || m.FuelUsedLast != pol.vm.Cycles || m.DeadlineDrops != c.drops {
+			t.Fatalf("%d writes: %d calls, %d cycles, metrics %+v", c.writes, calls, pol.vm.Cycles, m)
 		}
 	}
 	// A suspended decision's Decide is one more slice on a warm VM: it
@@ -421,23 +438,22 @@ func TestIsolatedSliceBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vp := pol.(*VMPolicy)
-	vp.slice = 64
+	pol.slice = 64
 	pol.Decide(d, nil)
 	if allocs := testing.AllocsPerRun(100, func() { pol.Decide(d, nil) }); allocs != 0 {
 		t.Errorf("a suspended Decide allocates %.1f objects, want 0", allocs)
 	}
-	if !vp.inflight {
+	if !pol.inflight {
 		t.Fatal("the decision finished: no suspended Decide was measured")
 	}
 }
 
-// TestIsolatedPolicyNoGoroutine: an isolated policy is a value, not a
-// worker — building many starts nothing, and there is nothing to close.
+// TestIsolatedPolicyNoGoroutine: a policy, dynamic applies included,
+// is a value, not a worker — building many starts nothing, and there is nothing to close.
 func TestIsolatedPolicyNoGoroutine(t *testing.T) {
 	p := compileOK(t, "aspectdef Dyn\n\tapply dynamic\n\t\tdo Set('level', 1);\n\tend\nend\n")
 	before := runtime.NumGoroutine()
-	pols := make([]KernelPolicy, 100)
+	pols := make([]*VMPolicy, 100)
 	for i := range pols {
 		pol, err := New(p, Options{})
 		if err != nil {
@@ -449,7 +465,7 @@ func TestIsolatedPolicyNoGoroutine(t *testing.T) {
 	// "Added none", not "unchanged": a goroutine another test left
 	// behind may exit between the two reads.
 	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("100 isolated policies: %d goroutines, was %d", after, before)
+		t.Fatalf("100 policies: %d goroutines, was %d", after, before)
 	}
 }
 
@@ -531,19 +547,18 @@ end
 			if err != nil {
 				t.Fatal(err)
 			}
-			vp := pol.(*VMPolicy)
 			d := monitor.Decision{Adapt: true, Violation: 0.5}
 			sums := map[string]monitor.Summary{"latency": {Count: 8, Mean: 0.25, Max: 3}}
 			if cfg, ok := pol.Decide(d, sums); !ok || cfg["level"] <= 0 {
 				t.Fatalf("decide = %v %v", cfg, ok)
 			}
-			if allocs := testing.AllocsPerRun(100, func() { vp.marshalIn(d, sums) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(100, func() { pol.marshalIn(d, sums) }); allocs != 0 {
 				t.Errorf("marshalIn allocates %.1f objects, want 0", allocs)
 			}
 			if allocs := testing.AllocsPerRun(100, func() { pol.Decide(d, sums) }); allocs > c.decide {
 				t.Errorf("Decide allocates %.1f objects, want <= %.0f", allocs, c.decide)
 			}
-			if allocs := testing.AllocsPerRun(100, func() { vp.vm.Call(vp.prog.Entry, vp.args...) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(100, func() { pol.vm.Call(pol.prog.Entry, pol.args...) }); allocs != 0 {
 				t.Errorf("the VM call allocates %.1f objects, want 0", allocs)
 			}
 		})
