@@ -106,7 +106,7 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "cluster RNG seed (backend i uses seed+i)")
 		epochDt   = flag.Float64("epoch-dt", 60, "simulated seconds per manager epoch")
 		flush     = flag.Duration("flush", 20*time.Millisecond, "epoch scheduler straggler flush bound")
-		interval  = flag.Duration("interval", 5*time.Millisecond, "pacing between epochs when nothing is violating (0 = unpaced); a violating observation starts the next epoch at once, at most one early epoch per interval")
+		interval  = flag.Duration("interval", 5*time.Millisecond, "pacing between epochs when nothing is violating (0 = unpaced); a violating observation starts the next epoch at once, up to a burst of 4 early epochs and one per interval after that")
 		beTimeout = flag.Duration("backend-timeout", 2*time.Second, "per-backend commit deadline before the slot is marked degraded and evacuated (0 = disabled)")
 		shutdownT = flag.Duration("shutdown-timeout", 10*time.Second, "bound on graceful HTTP shutdown; connections still open after it (e.g. SSE streams) are closed forcibly")
 		pprofAddr = flag.String("pprof", "", "pprof listen address on a separate loopback listener, e.g. 127.0.0.1:6060 (empty = profiling off; never mounted on the public mux)")
@@ -274,6 +274,6 @@ func main() {
 		}
 	}
 	stats := kernel.ManagerStats()
-	log.Printf("antarex-serve: stopped after %d epochs (%d early), %.1f GFLOP done, %.1f J, membership epoch %d, %d rebuilds",
-		kernel.Epochs(), kernel.EarlyEpochs(), stats.WorkGFlop, stats.EnergyJ, kernel.Generation(), kernel.Rebuilds())
+	log.Printf("antarex-serve: stopped after %d epochs (%d early, %d nudges dropped), %.1f GFLOP done, %.1f J, membership epoch %d, %d rebuilds",
+		kernel.Epochs(), kernel.EarlyEpochs(), kernel.DroppedNudges(), stats.WorkGFlop, stats.EnergyJ, kernel.Generation(), kernel.Rebuilds())
 }

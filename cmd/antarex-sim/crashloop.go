@@ -45,13 +45,15 @@ func crashloop() {
 }
 
 // serveBinary resolves the antarex-serve executable: $ANTAREX_SERVE if
-// set (CI prebuilds with -race), else a fresh `go build` into dir.
+// set (CI prebuilds with -race), else a fresh `go build` into dir. The
+// build names the package by import path, so it works from any
+// directory of the module — the checkout root or a test's package dir.
 func serveBinary(dir string) (string, error) {
 	if p := os.Getenv("ANTAREX_SERVE"); p != "" {
 		return filepath.Abs(p)
 	}
 	bin := filepath.Join(dir, "antarex-serve")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/antarex-serve")
+	cmd := exec.Command("go", "build", "-o", bin, "repro/cmd/antarex-serve")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		return "", fmt.Errorf("build antarex-serve: %v\n%s", err, out)
 	}

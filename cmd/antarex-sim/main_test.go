@@ -35,3 +35,24 @@ func TestRunExperimentSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestChaos runs the chaos round in tier-1, so a change to the epoch
+// engine or its cadence is checked against the exact-totals ledger on
+// every test run, not only in the chaos CI job.
+func TestChaos(t *testing.T) {
+	if !chaosRun() {
+		t.Fatal("chaos round violated an invariant (see the FAIL lines above)")
+	}
+}
+
+// TestCrashloop runs the crashloop rounds against a real antarex-serve
+// (ANTAREX_SERVE, or a fresh build): every acked mutation survives each
+// SIGKILL and the journal replays idempotently.
+func TestCrashloop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts and SIGKILLs a server process repeatedly")
+	}
+	if err := crashloopRun(); err != nil {
+		t.Fatal(err)
+	}
+}

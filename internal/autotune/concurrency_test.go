@@ -30,8 +30,15 @@ func TestTunerConcurrentObserveRetune(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Variant A degrades in production: B's stale estimate wins.
+			// Each serving goroutine reports the live cost of the variant
+			// it finds applied — B still costs 2 — so observations made
+			// after the retune do not degrade B as well.
 			for i := 0; i < 200; i++ {
-				tu.Observe(5)
+				live := 5.0
+				if tu.Applied().Key() == "1" {
+					live = 2
+				}
+				tu.Observe(live)
 			}
 		}()
 	}

@@ -178,3 +178,96 @@ func TestPacedProbeCycleStress(t *testing.T) {
 		t.Error("no nudge was honoured: the stress never exercised the early wake")
 	}
 }
+
+// TestPacedFloodVictim: one tenant streams violations on a paced plane,
+// a few frames after every epoch, so the pacer's bucket is spent as fast
+// as it refills. Another tenant's single violation is still actuated
+// within one interval plus an epoch — its own nudge is usually dropped,
+// and the paced tick drains it — and every nudge the flood and the
+// victim make is counted once, as honoured or dropped.
+func TestPacedFloodVictim(t *testing.T) {
+	const (
+		interval = 25 * time.Millisecond
+		probes   = 5
+		frames   = 8 // flood frames per epoch: twice the pacer's burst
+	)
+	k, c := newTestPlane(t)
+	for _, name := range []string{"flood", "victim"} {
+		if _, err := c.Register(probeSpec(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Start(context.Background(), runtime.Options{Interval: interval}); err != nil {
+		t.Fatal(err)
+	}
+	defer k.Stop()
+	victim := k.App("victim")
+	if !waitEpoch(k, func() bool { return k.Epochs() >= 1 }) {
+		t.Fatal("the plane never ran its first epoch")
+	}
+
+	w, err := c.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	stop := make(chan struct{})
+	stopFlood := sync.OnceFunc(func() { close(stop) })
+	defer stopFlood()
+	flooded := make(chan error, 1)
+	sig, cancel := k.EpochSignal()
+	defer cancel()
+	go func() {
+		for {
+			for i := 0; i < frames; i++ {
+				if err := w.Observe("flood", "token", 1); err != nil {
+					flooded <- err
+					return
+				}
+				if err := w.Flush(); err != nil {
+					flooded <- err
+					return
+				}
+			}
+			select {
+			case <-stop:
+				flooded <- nil
+				return
+			case <-sig:
+			}
+		}
+	}()
+	if !waitEpoch(k, func() bool { return k.DroppedNudges() > 0 }) {
+		t.Fatal("the flood never emptied the pacer's bucket")
+	}
+
+	// An epoch here costs well under a millisecond; the allowance for it
+	// is a whole interval so a loaded host does not fail the test.
+	limit := interval + interval
+	for i := int64(1); i <= probes; i++ {
+		if _, err := c.ObserveBinary("victim", []runtime.Sample{{Metric: "token", Value: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		sent := time.Now() // the sample is in the inbox once the route acks
+		if !waitEpoch(k, func() bool { return victim.Adaptations() >= i }) {
+			t.Fatalf("victim violation %d never actuated", i)
+		}
+		if lat := time.Since(sent); lat > limit {
+			t.Errorf("victim violation %d actuated after %v under the flood, want within %v", i, lat, limit)
+		}
+	}
+
+	stopFlood()
+	if err := <-flooded; err != nil {
+		t.Fatal(err)
+	}
+	ack, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	honoured, dropped := k.EarlyEpochs(), k.DroppedNudges()
+	if calls := ack.Frames + probes; honoured+dropped != calls {
+		t.Errorf("honoured %d + dropped %d = %d nudges, want one per violating batch, %d", honoured, dropped, honoured+dropped, calls)
+	}
+	t.Logf("%d flood frames: %d nudges honoured, %d dropped", ack.Frames, honoured, dropped)
+}

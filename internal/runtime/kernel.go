@@ -170,9 +170,11 @@ type Kernel struct {
 	rebuilds   atomic.Int64 // topologies built since Start, minus the first
 
 	// Early wake (pacer.go): the serving generation's pacer — nil unless
-	// it is paced (Options.Interval > 0) — and the honoured-nudge count.
-	pacer       atomic.Pointer[pacer]
-	earlyEpochs atomic.Int64
+	// it is paced (Options.Interval > 0) — and the honoured and dropped
+	// nudge counts.
+	pacer         atomic.Pointer[pacer]
+	earlyEpochs   atomic.Int64
+	droppedNudges atomic.Int64
 
 	errMu sync.Mutex
 	err   error // first workload error observed by concurrent loops
@@ -1107,7 +1109,8 @@ type Options struct {
 	// Interval paces each application loop between epochs (default 0:
 	// back-to-back, throttled only by the epoch barrier). It is the
 	// kernel's maximum staleness, not its reaction latency: Nudge starts
-	// the next epoch at once, at most one early epoch per interval.
+	// the next epoch at once, up to a small burst of early epochs and one
+	// per interval after that.
 	Interval time.Duration
 	// Flush bounds how long the scheduler waits for straggler apps
 	// before running an epoch with the batches at hand (default 100ms).

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -36,28 +37,47 @@ func awaitEpoch(k *Kernel, cond func() bool) bool {
 	return true
 }
 
-// TestPacedAdmitRule pins the limiter on injected clock readings: at most
-// one nudge is honoured per interval, decided by one CAS.
+// TestPacedAdmitRule pins the token bucket on injected clock readings:
+// a full bucket honours nudgeBurst nudges at one instant, a dropped nudge
+// leaves tat alone, one token comes back per interval, an idle bucket
+// refills to nudgeBurst and no further, and concurrent callers on a full
+// bucket win exactly nudgeBurst.
 func TestPacedAdmitRule(t *testing.T) {
-	p := newPacer(100, nil)
-	for _, c := range []struct {
+	type step struct {
 		now  int64
 		want bool
+		tat  int64 // after the call
 		why  string
-	}{
-		{0, true, "the generation's first nudge"},
-		{1, false, "inside the interval"},
-		{99, false, "one ns short of the interval"},
-		{100, true, "exactly one interval after the last honoured nudge"},
-		{150, false, "dropped nudges must not move the window"},
-		{199, false, "measured from the honoured nudge at 100, not the dropped one at 150"},
-		{200, true, "the next interval"},
-	} {
+	}
+	var steps []step
+	for i := int64(1); i <= nudgeBurst; i++ {
+		steps = append(steps, step{0, true, i * 100, "a new generation's bucket starts full"})
+	}
+	steps = append(steps,
+		step{0, false, nudgeBurst * 100, "the burst is spent"},
+		step{99, false, nudgeBurst * 100, "one ns before a token comes back; a dropped nudge does not move tat"},
+		step{100, true, (nudgeBurst + 1) * 100, "one token back after one interval"},
+		step{100, false, (nudgeBurst + 1) * 100, "and only one"},
+		step{150, false, (nudgeBurst + 1) * 100, "half an interval later"},
+		step{199, false, (nudgeBurst + 1) * 100, "measured from tat, not from the dropped nudge at 150"},
+		step{200, true, (nudgeBurst + 2) * 100, "the next interval's token"},
+	)
+	for i := int64(1); i <= nudgeBurst; i++ {
+		steps = append(steps, step{10_000, true, 10_000 + i*100, "an idle bucket refills"})
+	}
+	steps = append(steps, step{10_000, false, 10_000 + nudgeBurst*100, "to nudgeBurst and no further"})
+
+	p := newPacer(100, nil)
+	for i, c := range steps {
 		if got := p.admit(c.now); got != c.want {
-			t.Errorf("admit(%d) = %v, want %v: %s", c.now, got, c.want, c.why)
+			t.Errorf("step %d: admit(%d) = %v, want %v: %s", i, c.now, got, c.want, c.why)
+		}
+		if got := p.tat.Load(); got != c.tat {
+			t.Errorf("step %d: tat %d after admit(%d), want %d: %s", i, got, c.now, c.tat, c.why)
 		}
 	}
 
+	p = newPacer(100, nil)
 	var won atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -70,8 +90,105 @@ func TestPacedAdmitRule(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if won.Load() != 1 {
-		t.Errorf("%d concurrent callers won the same interval, want exactly 1", won.Load())
+	if won.Load() != nudgeBurst {
+		t.Errorf("%d concurrent callers won a full bucket, want exactly %d", won.Load(), nudgeBurst)
+	}
+}
+
+// TestPacedAdmitBound is the long-run bound as a property over seeded
+// random schedules — steady streams, floods of calls at one instant and
+// idle gaps: in every window of length T between two honoured nudges,
+// and so in every prefix of length T, at most ⌊T/interval⌋ + nudgeBurst
+// are honoured;
+// and a nudge at least one interval after the last honoured one is
+// never dropped, the guarantee of one early epoch per interval.
+func TestPacedAdmitBound(t *testing.T) {
+	const interval = 1000
+	rng := rand.New(rand.NewPCG(46, 1))
+	for round := 0; round < 200; round++ {
+		p := newPacer(interval, nil)
+		var honoured []int64
+		now := int64(0)
+		for call := 0; call < 300; call++ {
+			switch r := rng.IntN(10); {
+			case r < 2: // a flood: this call shares the last one's instant
+			case r < 8:
+				now += rng.Int64N(2 * interval)
+			default:
+				now += rng.Int64N(10 * interval)
+			}
+			ok := p.admit(now)
+			if n := len(honoured); !ok && n > 0 && now-honoured[n-1] >= interval {
+				t.Fatalf("round %d: nudge at %d dropped, %d after the last honoured one", round, now, now-honoured[n-1])
+			}
+			if ok {
+				honoured = append(honoured, now)
+			}
+		}
+		// Windows from the first honoured nudge bound every prefix too.
+		for i := range honoured {
+			for j := i; j < len(honoured); j++ {
+				span := honoured[j] - honoured[i]
+				if n := int64(j - i + 1); n > span/interval+nudgeBurst {
+					t.Fatalf("round %d: %d honoured in [%d, %d], bound %d", round, n, honoured[i], honoured[j], span/interval+nudgeBurst)
+				}
+			}
+		}
+	}
+}
+
+// TestNudgeFloodBound floods a paced kernel's Nudge from several
+// goroutines: every call is counted once, as honoured or dropped, and
+// the honoured ones keep the long-run bound. Under an hour-long interval
+// exactly the burst is honoured; under a short one tokens come back as
+// the flood goes on.
+func TestNudgeFloodBound(t *testing.T) {
+	for _, interval := range []time.Duration{time.Hour, time.Millisecond} {
+		t.Run(interval.String(), func(t *testing.T) {
+			k := NewKernel(testManager(2))
+			for i := 0; i < 2; i++ {
+				if _, err := k.Attach(AppSpec{Name: fmt.Sprintf("app%d", i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			begin := time.Now()
+			if err := k.Start(context.Background(), Options{Interval: interval, Flush: time.Hour}); err != nil {
+				t.Fatal(err)
+			}
+			defer k.Stop()
+			waitEpoch(t, k, "the generation's first epoch", func() bool { return k.Epochs() >= 1 })
+
+			const flooders, flood = 4, 20 * time.Millisecond
+			var calls atomic.Int64
+			var wg sync.WaitGroup
+			for f := 0; f < flooders; f++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for start := time.Now(); time.Since(start) < flood; {
+						k.Nudge()
+						calls.Add(1)
+					}
+				}()
+			}
+			wg.Wait()
+			span := time.Since(begin)
+			honoured, dropped := k.EarlyEpochs(), k.DroppedNudges()
+			if honoured+dropped != calls.Load() {
+				t.Errorf("honoured %d + dropped %d = %d, want every one of %d calls", honoured, dropped, honoured+dropped, calls.Load())
+			}
+			if bound := int64(span/interval) + nudgeBurst; honoured > bound {
+				t.Errorf("%d nudges honoured in %v, bound %d", honoured, span, bound)
+			}
+			if interval == time.Hour && honoured != nudgeBurst {
+				t.Errorf("%d nudges honoured inside one interval, want the burst, %d", honoured, nudgeBurst)
+			}
+			if interval < flood && honoured <= nudgeBurst {
+				t.Errorf("%d nudges honoured over a %v flood at a %v interval: no token came back", honoured, flood, interval)
+			}
+			t.Logf("%d calls in %v: %d honoured, %d dropped", calls.Load(), span, honoured, dropped)
+			waitEpoch(t, k, "a nudged epoch", func() bool { return k.Epochs() >= 2 })
+		})
 	}
 }
 
@@ -120,10 +237,18 @@ func nudgeRunsOneEpoch(t *testing.T, k *Kernel, ctls []*Controller) {
 			t.Errorf("%s ticked %d -> %d, want +1: every shard must be rung", ctl.Name(), ticks[i], got)
 		}
 	}
-	// Inside the same (hour-long) interval the limiter drops the rest.
+	// Spend the rest of the burst without ringing: inside the same
+	// (hour-long) interval the pacer then drops the next nudge.
+	p := k.pacer.Load()
+	for p.admit(int64(time.Since(p.start))) {
+	}
+	dropped := k.DroppedNudges()
 	k.Nudge()
 	if got := k.EarlyEpochs(); got != early+1 {
-		t.Errorf("second nudge inside the interval was honoured (EarlyEpochs %d)", got)
+		t.Errorf("a nudge on a spent bucket was honoured (EarlyEpochs %d)", got)
+	}
+	if got := k.DroppedNudges(); got != dropped+1 {
+		t.Errorf("DroppedNudges %d -> %d, want +1", dropped, got)
 	}
 }
 
