@@ -32,14 +32,14 @@ type chaosBackend struct {
 	stallNS  atomic.Int64
 }
 
-func (c *chaosBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport {
+func (c *chaosBackend) RunEpoch(dt float64, offered []*simhpc.Task, workers int) rtrm.EpochReport {
 	if d := c.stallNS.Swap(0); d > 0 {
 		time.Sleep(time.Duration(d)) // the injected stall is the fixture
 	}
 	if c.killNext.CompareAndSwap(true, false) {
 		panic("chaos: injected backend failure")
 	}
-	return c.inner.RunEpoch(dt, offered)
+	return c.inner.RunEpoch(dt, offered, workers)
 }
 
 func (c *chaosBackend) Stats() rtrm.Stats { return c.inner.Stats() }

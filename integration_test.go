@@ -141,7 +141,7 @@ func TestIntegrationDeterminism(t *testing.T) {
 		m := rtrm.NewManager(cluster, cluster.FacilityPowerW(1)*0.8)
 		gen := simhpc.NewWorkloadGen(78)
 		for i := 0; i < 10; i++ {
-			m.RunEpoch(60, gen.Mix(24, 1, 1, 1, 12))
+			m.RunEpoch(60, gen.Mix(24, 1, 1, 1, 12), 1)
 		}
 		// Woven VM execution.
 		tf, err := core.NewToolFlow("app.c", benchKernelSrc, benchAspects)

@@ -26,14 +26,14 @@ type faultManager struct {
 	onPanic   func()
 }
 
-func (f *faultManager) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport {
+func (f *faultManager) RunEpoch(dt float64, offered []*simhpc.Task, workers int) rtrm.EpochReport {
 	if f.panicNext.CompareAndSwap(true, false) {
 		if f.onPanic != nil {
 			f.onPanic()
 		}
 		panic("injected fault")
 	}
-	return f.inner.RunEpoch(dt, offered)
+	return f.inner.RunEpoch(dt, offered, workers)
 }
 
 func (f *faultManager) Stats() rtrm.Stats { return f.inner.Stats() }

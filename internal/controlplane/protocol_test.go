@@ -23,12 +23,12 @@ type gatedBackend struct {
 	gate    chan struct{}
 }
 
-func (g *gatedBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport {
+func (g *gatedBackend) RunEpoch(dt float64, offered []*simhpc.Task, workers int) rtrm.EpochReport {
 	if g.armed.CompareAndSwap(true, false) {
 		g.entered <- struct{}{}
 		<-g.gate
 	}
-	return g.Backend.RunEpoch(dt, offered)
+	return g.Backend.RunEpoch(dt, offered, workers)
 }
 
 // TestStatusReadsDoNotBlockOnCommit: GET /v1/epochs answers while a

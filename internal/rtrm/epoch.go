@@ -6,9 +6,9 @@ import (
 	"repro/internal/simhpc"
 )
 
-// This file splits the manager's control epoch into its three sub-stages
-// so the kernel's epoch executor can pipeline them across backends and
-// fan the dispatch loop out across workers:
+// This file splits the manager's control epoch into its sub-stages, so
+// the dispatch loop can fan out across workers and each stage can be
+// timed on its own:
 //
 //   BeginEpoch  — cluster-level decisions: MS3 admission + cooling, the
 //                 power-cap fit (serial; mutates manager state);
@@ -24,8 +24,9 @@ import (
 //   CommitEpoch — merge the per-node partials, advance thermals, fold
 //                 the cumulative counters (serial).
 //
-// RunEpoch is the composition with one dispatch worker, so the classic
-// entry point and the staged one are the same code path.
+// RunEpoch is the composition, handing its workers budget to
+// DispatchEpoch, so the one-call entry point and the staged one are the
+// same code path.
 //
 // Determinism: energy and done-work accumulate into per-node partial
 // sums (each node's tasks in ascending submission order) merged in node
@@ -174,8 +175,8 @@ func (m *Manager) dispatchNodes(lo, hi int) {
 
 // CommitEpoch closes the epoch: merge the per-node partials in node
 // index order, advance thermal state, fold the cumulative counters.
-// Serial. The report it returns matches what the classic RunEpoch
-// returns for the same inputs.
+// Serial. The report it returns is what RunEpoch returns for the same
+// inputs.
 func (m *Manager) CommitEpoch() EpochReport {
 	ep := &m.ep
 	for n := range m.Cluster.Nodes {

@@ -16,39 +16,58 @@ func epochTestManager(nodes int) *Manager {
 }
 
 // TestStagedEpochMatchesRunEpoch: the staged API with a parallel
-// dispatch fan-out must produce bit-identical reports and cumulative
-// stats to the classic serial RunEpoch — the determinism contract the
-// kernel's protocol-equivalence tests lean on. Per-node partials merged
-// in node order make the float accumulation order worker-count
-// independent.
+// dispatch fan-out, and RunEpoch given the same worker budget, must
+// both produce bit-identical reports and cumulative stats to RunEpoch
+// with one worker — the determinism contract the kernel's
+// protocol-equivalence tests lean on, and Backend.RunEpoch's "the
+// report does not depend on workers". Per-node partials merged in node
+// order make the float accumulation order worker-count independent.
 func TestStagedEpochMatchesRunEpoch(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			serial := epochTestManager(16)
 			staged := epochTestManager(16)
+			fanned := epochTestManager(16)
 			genA := simhpc.NewWorkloadGen(9)
 			genB := simhpc.NewWorkloadGen(9)
+			genC := simhpc.NewWorkloadGen(9)
 			for epoch := 0; epoch < 25; epoch++ {
-				tasksA := genA.Mix(40, 2, 1, 1, 8)
-				tasksB := genB.Mix(40, 2, 1, 1, 8)
+				// Odd epochs offer enough tasks for every worker to take
+				// a node block (dispatch caps at one worker per 32
+				// admitted tasks).
+				n := 40
+				if epoch%2 == 1 {
+					n = 320
+				}
+				tasksA := genA.Mix(n, 2, 1, 1, 8)
+				tasksB := genB.Mix(n, 2, 1, 1, 8)
+				tasksC := genC.Mix(n, 2, 1, 1, 8)
 
-				repA := serial.RunEpoch(60, tasksA)
+				repA := serial.RunEpoch(60, tasksA, 1)
 
 				staged.BeginEpoch(60, tasksB)
 				staged.SweepEpoch()
 				staged.DispatchEpoch(workers)
 				repB := staged.CommitEpoch()
 
+				repC := fanned.RunEpoch(60, tasksC, workers)
+
 				// Bit-equality on every numeric field (the report also
 				// carries the cap plan, whose slice makes == illegal).
-				if repA.EnergyJ != repB.EnergyJ || repA.DoneGFlop != repB.DoneGFlop ||
-					repA.DeferredGFlop != repB.DeferredGFlop || repA.HotNodes != repB.HotNodes {
-					t.Fatalf("epoch %d: staged(workers=%d) report diverged:\nserial: %+v\nstaged: %+v",
-						epoch, workers, repA, repB)
+				for form, rep := range map[string]EpochReport{"staged": repB, "RunEpoch": repC} {
+					if repA.EnergyJ != rep.EnergyJ || repA.DoneGFlop != rep.DoneGFlop ||
+						repA.DeferredGFlop != rep.DeferredGFlop || repA.HotNodes != rep.HotNodes {
+						t.Fatalf("epoch %d: %s(workers=%d) report diverged:\nserial: %+v\n%s: %+v",
+							epoch, form, workers, repA, form, rep)
+					}
 				}
 			}
-			if a, b := serial.Stats(), staged.Stats(); a != b {
+			a := serial.Stats()
+			if b := staged.Stats(); a != b {
 				t.Errorf("cumulative stats diverged:\nserial: %+v\nstaged: %+v", a, b)
+			}
+			if c := fanned.Stats(); a != c {
+				t.Errorf("cumulative stats diverged:\nserial:   %+v\nRunEpoch: %+v", a, c)
 			}
 		})
 	}

@@ -54,13 +54,13 @@ type EpochReport struct {
 // RunEpoch executes one control epoch of length dt seconds: MS3 decides
 // admission and cooling, the capper fits the envelope, each node runs
 // its share of offered under governor+thermal control, and thermal
-// state advances. It is the staged API (epoch.go) composed with a
-// single dispatch worker; callers wanting to pipeline the sub-stages or
-// fan the dispatch out call the stages directly.
-func (m *Manager) RunEpoch(dt float64, offered []*simhpc.Task) EpochReport {
+// state advances. It is the staged API (epoch.go) composed in order,
+// with the dispatch sub-stage fanned out over at most workers
+// goroutines; the report is bit-identical for every workers value.
+func (m *Manager) RunEpoch(dt float64, offered []*simhpc.Task, workers int) EpochReport {
 	m.BeginEpoch(dt, offered)
 	m.SweepEpoch()
-	m.DispatchEpoch(1)
+	m.DispatchEpoch(workers)
 	return m.CommitEpoch()
 }
 

@@ -201,7 +201,7 @@ func TestManagerEpochs(t *testing.T) {
 		for _, task := range tasks {
 			totalOffered += task.GFlop
 		}
-		rep := m.RunEpoch(60, tasks)
+		rep := m.RunEpoch(60, tasks, 1)
 		if rep.Cap.FacilityW > capW*1.001 {
 			t.Fatalf("epoch %d: cap violated (%.0f > %.0f)", epoch, rep.Cap.FacilityW, capW)
 		}
@@ -262,7 +262,7 @@ func TestManagerEpochShortCapPlan(t *testing.T) {
 	gen := simhpc.NewWorkloadGen(43)
 	// More tasks than nodes forces the round-robin to wrap the node
 	// list several times, exercising every nodeIdx against the plan.
-	rep := m.RunEpoch(60, gen.Mix(16, 1, 1, 1, 10))
+	rep := m.RunEpoch(60, gen.Mix(16, 1, 1, 1, 10), 1)
 	if len(rep.Cap.PStates) != len(c.Nodes) {
 		t.Fatalf("plan covers %d of %d nodes", len(rep.Cap.PStates), len(c.Nodes))
 	}

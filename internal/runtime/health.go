@@ -464,21 +464,6 @@ func (k *Kernel) finalizeRemove(name string, bs *backendSlot) {
 	k.emitBackendEvent(bs, "removed")
 }
 
-// EpochStager is the staged form of a Backend's epoch: commit drives
-// the sub-stages itself when the backend supports it, so the dispatch
-// loop can fan out across the commit's core budget. *rtrm.Manager
-// implements it. The contract: stages run in order, all between
-// commit's acquisition and release of the backend's commit mutex; only
-// DispatchEpoch may use internal parallelism (bounded by workers); the
-// committed report must equal what RunEpoch returns for the same
-// inputs.
-type EpochStager interface {
-	BeginEpoch(dt float64, offered []*simhpc.Task)
-	SweepEpoch()
-	DispatchEpoch(workers int)
-	CommitEpoch() rtrm.EpochReport
-}
-
 // commit executes one backend epoch under the backend's commit mutex
 // with panic containment: a panicking backend becomes a Failed slot
 // with the panic recorded on its stats (and its apps evacuated by the
@@ -487,11 +472,8 @@ type EpochStager interface {
 // panicked epoch's partial state. ok=false means the commit panicked;
 // the report is then void.
 //
-// workers is the commit's core budget: with a staged backend
-// (EpochStager) and workers > 1 the dispatch sub-stage fans out across
-// that many goroutines; otherwise the epoch runs as the classic opaque
-// call. The staged report is bit-identical to the serial one (per-node
-// partials merged in node order), so the two forms agree exactly.
+// workers is the commit's core budget (commitWorkers), passed to
+// Backend.RunEpoch.
 func (k *Kernel) commit(bs *backendSlot, dt float64, tasks []*simhpc.Task, workers int) (rep rtrm.EpochReport, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -500,14 +482,7 @@ func (k *Kernel) commit(bs *backendSlot, dt float64, tasks []*simhpc.Task, worke
 	}()
 	bs.commitMu.Lock()
 	defer bs.commitMu.Unlock()
-	if st := bs.staged; st != nil && workers > 1 {
-		st.BeginEpoch(dt, tasks)
-		st.SweepEpoch()
-		st.DispatchEpoch(workers)
-		rep = st.CommitEpoch()
-	} else {
-		rep = bs.be.RunEpoch(dt, tasks)
-	}
+	rep = bs.be.RunEpoch(dt, tasks, workers)
 	bs.cell.publishStats(bs.be.Stats())
 	bs.seq.Add(1)
 	return rep, true

@@ -29,7 +29,7 @@ type faultBackend struct {
 	onPanic   func()
 }
 
-func (f *faultBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport {
+func (f *faultBackend) RunEpoch(dt float64, offered []*simhpc.Task, workers int) rtrm.EpochReport {
 	if d := f.stallNS.Swap(0); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
@@ -39,7 +39,7 @@ func (f *faultBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochRe
 		}
 		panic("injected fault")
 	}
-	return f.inner.RunEpoch(dt, offered)
+	return f.inner.RunEpoch(dt, offered, workers)
 }
 
 func (f *faultBackend) Stats() rtrm.Stats { return f.inner.Stats() }
@@ -880,9 +880,9 @@ type offerLog struct {
 	batches [][]*simhpc.Task
 }
 
-func (o *offerLog) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport {
+func (o *offerLog) RunEpoch(dt float64, offered []*simhpc.Task, workers int) rtrm.EpochReport {
 	o.batches = append(o.batches, slices.Clone(offered))
-	return o.Backend.RunEpoch(dt, offered)
+	return o.Backend.RunEpoch(dt, offered, workers)
 }
 
 // TestHeldSlotTakesNoWork: a slot whose abandoned commit still had it

@@ -52,10 +52,9 @@ var (
 // Two driving modes share the same epoch engine:
 //
 //   - RunEpoch: synchronous, one epoch per call. Goroutine-safe; used by
-//     deterministic simulation drivers and tests. The Tick+workload
-//     fan-out runs on a worker pool, so different apps' Workload and
-//     Policy callbacks may run concurrently with each other (the same
-//     guarantee the concurrent mode has always given).
+//     deterministic simulation drivers and tests. Apps tick in attach
+//     order on the caller's goroutine, so no two apps' Workload or
+//     Policy callbacks ever run at once.
 //   - Start/Stop: sharded control-loop goroutines feeding a batched
 //     epoch scheduler. The scheduler runs a manager epoch when every
 //     app has contributed its batch (or after Flush expires, so a
@@ -121,7 +120,7 @@ type Kernel struct {
 	// generations are sequential: the supervisor waits for one to wind
 	// down before starting the next) — and the two modes are mutually
 	// exclusive: Start takes syncMu too.
-	fanout []contribution
+	syncContribs []contribution // RunEpoch's per-app contributions
 	// epochBackends is the backend set the current generation (or sync
 	// epoch) routes over — snapshotted with the app set, so an epoch
 	// never sees assignments pointing past its backend view.
@@ -186,10 +185,6 @@ type Kernel struct {
 type backendSlot struct {
 	name string
 	be   Backend
-	// staged is non-nil when the backend also implements EpochStager
-	// (rtrm.Manager does): commit can then fan its dispatch loop out
-	// across workers.
-	staged EpochStager
 
 	// commitMu serializes this backend's epoch commits against each
 	// other: a deadline-abandoned commit still running in the background
@@ -206,7 +201,7 @@ type backendSlot struct {
 	// cell is the seqlock status readers snapshot.
 	cell statsCell
 
-	// Epoch scratch — same ownership discipline as Kernel.fanout: tasks
+	// Epoch scratch — same ownership discipline as Kernel.syncContribs: tasks
 	// is this epoch's batch routed here, active whether any was, held
 	// whether an abandoned commit still had the slot at the epoch's start.
 	tasks  []*simhpc.Task
@@ -258,7 +253,6 @@ func NewKernel(backends ...Backend) *Kernel {
 	for i, be := range backends {
 		name := fmt.Sprintf("b%d", i)
 		bs := &backendSlot{name: name, be: be, reply: make(chan bool, 1)}
-		bs.staged, _ = be.(EpochStager)
 		bs.cell.publishStats(be.Stats()) // seed the seqlock for pre-commit reads
 		k.backends = append(k.backends, bs)
 		k.byBackend[name] = i
@@ -288,7 +282,6 @@ func (k *Kernel) AddBackend(name string, be Backend) error {
 	bks := make([]*backendSlot, len(k.backends), len(k.backends)+1)
 	copy(bks, k.backends)
 	bs := &backendSlot{name: name, be: be, reply: make(chan bool, 1)}
-	bs.staged, _ = be.(EpochStager)
 	bs.cell.publishStats(be.Stats())
 	k.backends = append(bks, bs)
 	k.byBackend[name] = len(k.backends) - 1
@@ -984,16 +977,15 @@ func (k *Kernel) executor(execCh <-chan []contribution, idle chan<- struct{}, dt
 }
 
 // RunEpoch synchronously runs one adaptation epoch across every
-// attached application: tick each controller, materialize workloads,
-// run the manager over the merged task list. Safe for concurrent use
-// (calls serialize fully, so no app's Workload ever runs twice at
-// once), but mutually exclusive with the concurrent mode: it errors
-// while Start's loops are running.
+// attached application: tick each controller and materialize its
+// workload, in attach order on the caller's goroutine, then run the
+// backends over the merged task list. Safe for concurrent use (calls
+// serialize fully), so no two callbacks ever run at once; but mutually
+// exclusive with the concurrent mode: it errors while Start's loops are
+// running.
 //
-// The per-app Tick+workload stage fans out over a worker pool, so two
-// different apps' callbacks may run concurrently (each app's own
-// callbacks never do). On a workload error the epoch is abandoned —
-// no manager epoch runs — but other apps may already have ticked. With
+// On a workload error the epoch is abandoned at the failing app: apps
+// after it are not ticked this epoch, and no backend epoch runs. With
 // every backend down the epoch parks until a ReviveBackend heals one or
 // an AddBackend brings a healthy one.
 func (k *Kernel) RunEpoch(dt float64) (EpochResult, error) {
@@ -1018,78 +1010,21 @@ func (k *Kernel) RunEpoch(dt float64) (EpochResult, error) {
 	k.parkCtx = nil
 	k.mu.Unlock()
 
-	n := len(apps)
-	if cap(k.fanout) < n {
-		k.fanout = make([]contribution, n)
-	}
-	contribs := k.fanout[:n]
-
-	var firstErr error
-	workers := goruntime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 4 {
-		// Few apps: the fan-out costs less than spawning workers.
-		for i, ctl := range apps {
-			tasks, err, live := k.tickApp(ctl)
-			if err != nil {
-				return EpochResult{}, fmt.Errorf("runtime: %s: %w", ctl.Name(), err)
-			}
-			if !live {
-				contribs[i] = contribution{} // quarantined: no contribution
-				continue
-			}
-			contribs[i] = contribution{ctl: ctl, tasks: tasks}
+	contribs := k.syncContribs[:0]
+	for _, ctl := range apps {
+		tasks, err, live := k.tickApp(ctl)
+		if err != nil {
+			return EpochResult{}, fmt.Errorf("runtime: %s: %w", ctl.Name(), err)
 		}
-	} else {
-		var next atomic.Int64
-		var errMu sync.Mutex
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					ctl := apps[i]
-					tasks, err, live := k.tickApp(ctl)
-					if err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("runtime: %s: %w", ctl.Name(), err)
-						}
-						errMu.Unlock()
-						tasks = nil
-					}
-					if !live {
-						contribs[i] = contribution{}
-						continue
-					}
-					contribs[i] = contribution{ctl: ctl, tasks: tasks}
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return EpochResult{}, firstErr
+		if live { // a quarantined app contributes nothing
+			contribs = append(contribs, contribution{ctl: ctl, tasks: tasks})
 		}
 	}
-	// Compact out quarantined apps' empty slots; clear the displaced
-	// tail so stale contributions are not pinned in the reused scratch.
-	live := contribs[:0]
-	for _, c := range contribs {
-		if c.ctl != nil {
-			live = append(live, c)
-		}
-	}
-	for i := len(live); i < n; i++ {
-		contribs[i] = contribution{}
-	}
-	return k.execute(dt, live, true), nil
+	// Clear the tail past this epoch's contributions so stale ones are
+	// not pinned in the reused scratch.
+	clear(contribs[len(contribs):cap(contribs)])
+	k.syncContribs = contribs
+	return k.execute(dt, contribs, true), nil
 }
 
 // workload materializes the controller's epoch tasks (nil Workload → no

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,23 +90,16 @@ func TestKernelErrClearedOnRestart(t *testing.T) {
 	if err := k.Start(context.Background(), Options{Flush: 5 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for k.Err() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// The failing app still contributes (no tasks), so the epoch after
+	// its error rings the signal.
+	waitEpoch(t, k, "the workload error", func() bool { return k.Err() != nil })
 	k.Stop()
-	if k.Err() == nil {
-		t.Fatal("workload error was not recorded")
-	}
 	failing.Store(false)
 	if err := k.Start(context.Background(), Options{Flush: 5 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	want := k.Epochs() + 2
-	deadline = time.Now().Add(5 * time.Second)
-	for k.Epochs() < want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitEpoch(t, k, "epochs after a healthy restart", func() bool { return k.Epochs() >= want })
 	k.Stop()
 	if err := k.Err(); err != nil {
 		t.Errorf("stale error after healthy restart: %v", err)
@@ -127,13 +122,7 @@ func TestKernelStartEmptyThenAttach(t *testing.T) {
 	if _, err := k.Attach(simpleSpec("late", gen, 2)); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for k.Epochs() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if k.Epochs() < 3 {
-		t.Fatalf("late-attached app never drove epochs: %d", k.Epochs())
-	}
+	waitEpoch(t, k, "epochs driven by the late-attached app", func() bool { return k.Epochs() >= 3 })
 	if k.TotalsPerApp()["late"] <= 0 {
 		t.Error("late app contributed no work")
 	}
@@ -143,8 +132,6 @@ func TestKernelStartEmptyThenAttach(t *testing.T) {
 // the old core.System behaviour, now multiplexing several apps.
 func TestKernelSynchronousEpochs(t *testing.T) {
 	k := NewKernel(testManager(4))
-	// One generator per app: RunEpoch fans Tick+Workload out over a
-	// worker pool, so different apps' workloads may run concurrently.
 	for i := 0; i < 3; i++ {
 		gen := simhpc.NewWorkloadGen(uint64(5 + i))
 		if _, err := k.Attach(simpleSpec(fmt.Sprintf("app%d", i), gen, 4)); err != nil {
@@ -185,6 +172,76 @@ func TestKernelWorkloadError(t *testing.T) {
 	}
 	if _, err := k.RunEpoch(60); err == nil {
 		t.Fatal("workload error should propagate")
+	}
+}
+
+// TestRunEpochSequential: RunEpoch ticks apps in attach order on the
+// caller's goroutine even when cores are free for a fan-out, so no two
+// Workload calls ever overlap; a failing app ends the epoch there — the
+// apps after it are not called, and no epoch is counted.
+func TestRunEpochSequential(t *testing.T) {
+	prev := goruntime.GOMAXPROCS(4)
+	defer goruntime.GOMAXPROCS(prev)
+
+	const nApps = 8
+	var (
+		mu                    sync.Mutex // guards calls, inFlight, maxInFlight
+		calls                 []int
+		inFlight, maxInFlight int
+		failing               atomic.Bool
+	)
+	k := NewKernel(testManager(2))
+	for i := 0; i < nApps; i++ {
+		gen := simhpc.NewWorkloadGen(uint64(50 + i))
+		if _, err := k.Attach(AppSpec{
+			Name: fmt.Sprintf("app%d", i),
+			Workload: func() ([]*simhpc.Task, error) {
+				mu.Lock()
+				inFlight++
+				maxInFlight = max(maxInFlight, inFlight)
+				calls = append(calls, i)
+				mu.Unlock()
+				// The sleep is the fixture: it holds the call open, so a
+				// concurrent tick of another app would overlap it.
+				time.Sleep(200 * time.Microsecond)
+				mu.Lock()
+				inFlight--
+				mu.Unlock()
+				if i == 3 && failing.Load() {
+					return nil, fmt.Errorf("not tuned")
+				}
+				return gen.Mix(2, 1, 1, 1, 8), nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inOrder := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for e := 0; e < 3; e++ {
+		calls = calls[:0]
+		if _, err := k.RunEpoch(60); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(calls, inOrder) {
+			t.Fatalf("epoch %d: Workload calls %v, want attach order %v", e, calls, inOrder)
+		}
+	}
+	if maxInFlight != 1 {
+		t.Fatalf("%d Workload calls in flight at once, want 1", maxInFlight)
+	}
+
+	failing.Store(true)
+	before := k.ManagerStats().Epochs
+	calls = calls[:0]
+	_, err := k.RunEpoch(60)
+	if err == nil || !strings.Contains(err.Error(), "app3") {
+		t.Fatalf("RunEpoch error = %v, want one naming app3", err)
+	}
+	if want := inOrder[:4]; !slices.Equal(calls, want) {
+		t.Errorf("Workload calls %v, want %v: apps after the failing one are not ticked", calls, want)
+	}
+	if got := k.ManagerStats().Epochs; got != before {
+		t.Errorf("epochs moved %d -> %d on a failed epoch", before, got)
 	}
 }
 
@@ -314,7 +371,7 @@ func TestKernelConcurrentApps(t *testing.T) {
 			}
 			for ctx.Err() == nil {
 				inboxes[i].Push(monitor.MetricLatency, lat)
-				time.Sleep(time.Millisecond)
+				time.Sleep(time.Millisecond) // the producer's sample rate is the fixture
 			}
 		}(i)
 	}
@@ -322,17 +379,11 @@ func TestKernelConcurrentApps(t *testing.T) {
 	if err := k.Start(ctx, Options{EpochDt: 60, Flush: 20 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for k.Epochs() < 20 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitEpoch(t, k, "20 epochs", func() bool { return k.Epochs() >= 20 })
 	k.Stop()
 	cancel()
 	prodWG.Wait()
 
-	if k.Epochs() < 20 {
-		t.Fatalf("only %d epochs ran", k.Epochs())
-	}
 	if err := k.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +421,7 @@ func TestKernelFlushToleratesStragglers(t *testing.T) {
 	mkWorkload := func(delay time.Duration) Workload {
 		return func() ([]*simhpc.Task, error) {
 			if delay > 0 {
-				time.Sleep(delay)
+				time.Sleep(delay) // the stall is the fixture
 			}
 			genMu.Lock()
 			defer genMu.Unlock()
@@ -386,14 +437,8 @@ func TestKernelFlushToleratesStragglers(t *testing.T) {
 	if err := k.Start(context.Background(), Options{Flush: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for k.Epochs() < 6 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitEpoch(t, k, "6 epochs past the stalled app", func() bool { return k.Epochs() >= 6 })
 	k.Stop()
-	if k.Epochs() < 6 {
-		t.Fatalf("stalled app wedged the kernel: %d epochs", k.Epochs())
-	}
 	totals := k.TotalsPerApp()
 	if totals["fast"] <= totals["slow"] {
 		t.Errorf("fast app should outpace slow: %v", totals)
@@ -412,14 +457,8 @@ func TestKernelRestart(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		want := k.Epochs() + 3
-		deadline := time.Now().Add(5 * time.Second)
-		for k.Epochs() < want && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
-		}
+		waitEpoch(t, k, fmt.Sprintf("round %d epochs", round), func() bool { return k.Epochs() >= want })
 		k.Stop()
-		if k.Epochs() < want {
-			t.Fatalf("round %d: epochs %d < %d", round, k.Epochs(), want)
-		}
 	}
 	// Synchronous driving still works after concurrent rounds.
 	if _, err := k.RunEpoch(60); err != nil {
@@ -486,13 +525,13 @@ func TestStartWaitsForRunEpoch(t *testing.T) {
 }
 
 // TestKernelScratchReuseAcrossRestarts: the epoch engine's reused
-// scratch buffers (merged-task slice, fan-out contributions, per-app
-// done channels) must not leak state across Start/Stop cycles or
+// scratch buffers (per-backend task batches, the sync driver's
+// contributions) must not leak state across Start/Stop cycles or
 // between the two driving modes, and a published EpochResult must stay
 // immutable once later epochs run.
 func TestKernelScratchReuseAcrossRestarts(t *testing.T) {
 	k := NewKernel(testManager(4))
-	const nApps = 6 // above the parallel fan-out threshold
+	const nApps = 6
 	for i := 0; i < nApps; i++ {
 		gen := simhpc.NewWorkloadGen(uint64(31 + i))
 		if _, err := k.Attach(simpleSpec(fmt.Sprintf("app%d", i), gen, 1+i%3)); err != nil {
@@ -514,14 +553,8 @@ func TestKernelScratchReuseAcrossRestarts(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		want := k.Epochs() + 4
-		deadline := time.Now().Add(5 * time.Second)
-		for k.Epochs() < want && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
+		waitEpoch(t, k, fmt.Sprintf("round %d epochs", round), func() bool { return k.Epochs() >= want })
 		k.Stop()
-		if k.Epochs() < want {
-			t.Fatalf("round %d: epochs %d < %d", round, k.Epochs(), want)
-		}
 		res, err := k.RunEpoch(60)
 		if err != nil {
 			t.Fatalf("round %d: sync after concurrent: %v", round, err)
@@ -574,11 +607,12 @@ func TestKernelSyncEpochAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Fan-out workers + the escaping PerApp map + the manager's cap
-	// plan are the only per-epoch allocations; anything growing with
-	// nApps would land far above this budget.
-	if allocs > 24 {
-		t.Errorf("sync epoch allocates %.0f objects for %d apps, want <= 24", allocs, nApps)
+	// The escaping PerApp map (4 objects at 16 entries) and the
+	// manager's cap plan (1) are the only per-epoch allocations; the
+	// budget leaves one object of headroom. Anything growing with nApps
+	// would land far above it.
+	if allocs > 6 {
+		t.Errorf("sync epoch allocates %.0f objects for %d apps, want <= 6", allocs, nApps)
 	}
 }
 

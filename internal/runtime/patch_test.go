@@ -80,7 +80,7 @@ type ledgerBackend struct {
 	commits int
 }
 
-func (b *ledgerBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport {
+func (b *ledgerBackend) RunEpoch(dt float64, offered []*simhpc.Task, workers int) rtrm.EpochReport {
 	sum := 0.0
 	for _, task := range offered {
 		sum += task.GFlop
@@ -89,7 +89,7 @@ func (b *ledgerBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochR
 	b.gflop += sum
 	b.commits++
 	b.mu.Unlock()
-	return b.Backend.RunEpoch(dt, offered)
+	return b.Backend.RunEpoch(dt, offered, workers)
 }
 
 func (b *ledgerBackend) committed() float64 {
@@ -469,7 +469,7 @@ type loggedBackend struct {
 	idx int
 }
 
-func (b *loggedBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport {
+func (b *loggedBackend) RunEpoch(dt float64, offered []*simhpc.Task, workers int) rtrm.EpochReport {
 	l := b.log
 	// Without a commit deadline every commit of epoch N runs inside its
 	// barrier, after epoch N-1 was counted.
@@ -488,7 +488,7 @@ func (b *loggedBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochR
 		seen[task.Tag] = cur
 	}
 	l.mu.Unlock()
-	return b.Backend.RunEpoch(dt, offered)
+	return b.Backend.RunEpoch(dt, offered, workers)
 }
 
 // TestPatchMigratesOneBackendPerEpoch: evacuations (a failed backend, a

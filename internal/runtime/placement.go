@@ -18,8 +18,10 @@ type Backend interface {
 	// the offered tasks and reports what happened. It must not modify
 	// offered tasks, nor retain the offered slice past the call: apps
 	// return the same tasks again in later epochs, and the kernel reuses
-	// the slice's backing array.
-	RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport
+	// the slice's backing array. workers (≥ 1) is the epoch's core
+	// budget: at most that many goroutines may work inside the call, and
+	// the report must not depend on it.
+	RunEpoch(dt float64, offered []*simhpc.Task, workers int) rtrm.EpochReport
 	// Stats snapshots the backend's cumulative telemetry.
 	Stats() rtrm.Stats
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	goruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -186,12 +188,88 @@ type gatedBackend struct {
 	gate    chan struct{}
 }
 
-func (g *gatedBackend) RunEpoch(dt float64, offered []*simhpc.Task) rtrm.EpochReport {
+func (g *gatedBackend) RunEpoch(dt float64, offered []*simhpc.Task, workers int) rtrm.EpochReport {
 	if g.armed.CompareAndSwap(true, false) {
 		g.entered <- struct{}{}
 		<-g.gate
 	}
-	return g.Backend.RunEpoch(dt, offered)
+	return g.Backend.RunEpoch(dt, offered, workers)
+}
+
+// workersLog wraps a Backend and records the core budget each commit
+// passes to RunEpoch.
+type workersLog struct {
+	Backend
+	mu      sync.Mutex
+	workers []int
+}
+
+func (w *workersLog) RunEpoch(dt float64, offered []*simhpc.Task, workers int) rtrm.EpochReport {
+	w.mu.Lock()
+	w.workers = append(w.workers, workers)
+	w.mu.Unlock()
+	return w.Backend.RunEpoch(dt, offered, workers)
+}
+
+// take returns the budgets recorded since the last take.
+func (w *workersLog) take() []int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := w.workers
+	w.workers = nil
+	return out
+}
+
+// TestCommitPassesWorkerBudget: every commit hands Backend.RunEpoch its
+// share of the cores — all of GOMAXPROCS for a sole backend, or for the
+// only backend that commits in an epoch, and GOMAXPROCS split evenly
+// across the backends that commit at once.
+func TestCommitPassesWorkerBudget(t *testing.T) {
+	prev := goruntime.GOMAXPROCS(4)
+	defer goruntime.GOMAXPROCS(prev)
+	runEpochs := func(k *Kernel, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := k.RunEpoch(60); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	sole := &workersLog{Backend: testManagerAt(2, 15)}
+	k := NewKernel(sole)
+	if _, err := k.Attach(simpleSpec("a", simhpc.NewWorkloadGen(7), 2)); err != nil {
+		t.Fatal(err)
+	}
+	runEpochs(k, 2)
+	if got := sole.take(); !slices.Equal(got, []int{4, 4}) {
+		t.Errorf("sole backend: workers %v, want [4 4]", got)
+	}
+
+	b0 := &workersLog{Backend: testManagerAt(2, 15)}
+	b1 := &workersLog{Backend: testManagerAt(2, 15)}
+	k = NewKernel(b0, b1)
+	for _, spec := range []AppSpec{
+		pinnedSpec("a", "b0", simhpc.NewWorkloadGen(7), 2),
+		pinnedSpec("b", "b1", simhpc.NewWorkloadGen(8), 2),
+	} {
+		if _, err := k.Attach(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runEpochs(k, 2)
+	for _, b := range []*workersLog{b0, b1} {
+		if got := b.take(); !slices.Equal(got, []int{2, 2}) {
+			t.Errorf("two backends committing at once: workers %v, want [2 2]", got)
+		}
+	}
+	if err := k.Detach("b"); err != nil {
+		t.Fatal(err)
+	}
+	runEpochs(k, 1)
+	if got0, got1 := b0.take(), b1.take(); !slices.Equal(got0, []int{4}) || len(got1) != 0 {
+		t.Errorf("one of two backends committing: workers b0 %v b1 %v, want [4] and []", got0, got1)
+	}
 }
 
 // TestStatusReadsDoNotBlockOnCommit: ManagerStats and BackendStats
@@ -264,7 +342,7 @@ func TestSoleBackendEpochContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := twin.RunEpoch(60, twinGen.Mix(2, 1, 1, 1, 8))
+	want := twin.RunEpoch(60, twinGen.Mix(2, 1, 1, 1, 8), 1)
 	if res.Backends != nil {
 		t.Errorf("sole backend: Backends = %+v, want nil", res.Backends)
 	}

@@ -152,7 +152,7 @@ func (k *Kernel) maybeReshape() {
 
 // commitWorkers splits the generation's GOMAXPROCS budget across
 // concurrent backend commits: with n backends committing at once each
-// gets its share of the cores for its manager's dispatch fan-out.
+// gets its share of the cores, the workers its Backend.RunEpoch takes.
 func (k *Kernel) commitWorkers(concurrent int) int {
 	gmp := int(k.topoGMP.Load())
 	if gmp <= 0 {
