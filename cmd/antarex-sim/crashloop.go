@@ -35,9 +35,12 @@ const (
 	crashKillSpan = 250 * time.Millisecond
 )
 
+// crashloopSeed seeds the churn and kill schedule (antarex-sim -seed).
+var crashloopSeed int64 = 43
+
 func crashloop() {
-	fmt.Println("== crashloop: SIGKILL mid-churn, restart from the journal, verify against the shadow ledger ==")
-	if err := crashloopRun(); err != nil {
+	fmt.Printf("== crashloop (seed %d): SIGKILL mid-churn, restart from the journal, verify against the shadow ledger ==\n", crashloopSeed)
+	if err := crashloopRun(crashloopSeed); err != nil {
 		fmt.Printf("  CRASHLOOP: FAIL: %v\n", err)
 		os.Exit(1)
 	}
@@ -85,7 +88,14 @@ type shadowLedger struct {
 	pending  *pendingOp
 }
 
-func crashloopRun() error {
+// crashloopRun drives the rounds from seed; every error it returns
+// names the seed, so a failing schedule can be replayed.
+func crashloopRun(seed int64) (err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("seed %d: %w", seed, err)
+		}
+	}()
 	work, err := os.MkdirTemp("", "crashloop-*")
 	if err != nil {
 		return err
@@ -107,7 +117,7 @@ func crashloopRun() error {
 		// path, so the ledger starts with them.
 		backends: map[string]bool{"b0": true, "b1": true},
 	}
-	rng := rand.New(rand.NewSource(43))
+	rng := rand.New(rand.NewSource(seed))
 	var nextName int
 
 	for round := 0; round < crashRounds; round++ {

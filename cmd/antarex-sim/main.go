@@ -73,6 +73,7 @@ func runExperiment(name string) error {
 func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the experiment run to this file")
+	flag.Int64Var(&crashloopSeed, "seed", crashloopSeed, "seed of the crashloop experiment's churn and kill schedule")
 	flag.Parse()
 	cmd := "all"
 	if flag.NArg() > 0 {

@@ -52,7 +52,7 @@ func TestCrashloop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts and SIGKILLs a server process repeatedly")
 	}
-	if err := crashloopRun(); err != nil {
+	if err := crashloopRun(43); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -271,3 +271,61 @@ func TestPacedFloodVictim(t *testing.T) {
 	}
 	t.Logf("%d flood frames: %d nudges honoured, %d dropped", ack.Frames, honoured, dropped)
 }
+
+// TestPacedQuietTicks: on a paced plane, a tenant that receives nothing
+// takes the quiet path on every tick after its first, while a tenant
+// sent an in-SLA batch before every one of its ticks takes the full
+// analyse pass almost every time; both counts reach GET /v1/apps as
+// quiet_ticks.
+func TestPacedQuietTicks(t *testing.T) {
+	k, c := newTestPlane(t)
+	// The interval leaves a slow host room for the batch's round trip
+	// between the fed tenant's full tick and the next paced tick.
+	if err := k.Start(context.Background(), runtime.Options{Interval: 20 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	defer k.Stop()
+	for _, name := range []string{"idle", "fed"} {
+		spec := probeSpec(name)
+		spec.Goals[0].Target = 10 // the batches below stay within it
+		if _, err := c.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fed := k.App("fed")
+	waitFor(t, k, "both tenants ticked", func() bool {
+		return k.App("idle").Ticks() >= 2 && fed.Ticks() >= 2
+	})
+	// full counts the fed tenant's full ticks, never more than have run:
+	// a tick bumps ticks before quietTicks, so reading ticks first can
+	// only undercount.
+	full := func() int64 { n := fed.Ticks(); return n - fed.QuietTicks() }
+	ticks0, quiet0 := fed.Ticks(), fed.QuietTicks()
+	const rounds = 30
+	batch := []runtime.Sample{{Metric: "token", Value: 1}, {Metric: "other", Value: 2}}
+	for i := 0; i < rounds; i++ {
+		before := full()
+		if _, err := c.ObserveBinary("fed", batch); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, k, "a full tick of the fed tenant", func() bool { return full() > before })
+	}
+	k.Stop()
+
+	apps, err := c.Apps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := map[string]AppStatus{}
+	for _, a := range apps {
+		st[a.Name] = a
+	}
+	if idle := st["idle"]; idle.QuietTicks < idle.Ticks-1 || idle.Ticks < rounds {
+		t.Errorf("idle tenant: quiet_ticks %d of %d ticks, want all but the first", idle.QuietTicks, idle.Ticks)
+	}
+	ticks, quiet := st["fed"].Ticks-ticks0, st["fed"].QuietTicks-quiet0
+	if ticks < rounds || 4*quiet > ticks {
+		t.Errorf("fed tenant: %d of %d ticks quiet over %d rounds, want at most a quarter", quiet, ticks, rounds)
+	}
+	t.Logf("idle %d/%d quiet; fed %d/%d quiet over %d rounds", st["idle"].QuietTicks, st["idle"].Ticks, quiet, ticks, rounds)
+}

@@ -964,6 +964,7 @@ func (s *Server) status(ra *remoteApp, totals map[string]float64) AppStatus {
 	st := AppStatus{
 		Name:        ra.spec.Name,
 		Ticks:       ra.ctl.Ticks(),
+		QuietTicks:  ra.ctl.QuietTicks(),
 		Fires:       ra.ctl.Fires(),
 		Adaptations: ra.ctl.Adaptations(),
 		TotalGFlop:  total,

@@ -234,8 +234,11 @@ type StreamAck struct {
 
 // AppStatus is the read side of one app (GET /v1/apps/{id}).
 type AppStatus struct {
-	Name        string  `json:"name"`
-	Ticks       int64   `json:"ticks"`
+	Name  string `json:"name"`
+	Ticks int64  `json:"ticks"`
+	// QuietTicks counts the ticks that found nothing new since a passing
+	// SLA check and skipped the analyse pass (a subset of Ticks).
+	QuietTicks  int64   `json:"quiet_ticks"`
 	Fires       int64   `json:"fires"`
 	Adaptations int64   `json:"adaptations"`
 	TotalGFlop  float64 `json:"total_gflop"`

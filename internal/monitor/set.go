@@ -1,16 +1,26 @@
 package monitor
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Set is a collection of named metric windows — the "collect" stage.
 // It is safe for concurrent use: serving goroutines Push while the
 // adaptation kernel snapshots and resets. The window map is guarded by
 // an RWMutex; per-sample mutual exclusion lives inside Window, so
 // steady-state pushes to existing metrics only take the read lock here.
+//
+// Version counts changes that can move the set's summaries: a window
+// created, a window's first Push after its last Snapshot, and every
+// Reset. A reader that loads Version, then snapshots every window, and
+// later reads the same Version knows no window has changed since its
+// snapshot of it.
 type Set struct {
 	mu      sync.RWMutex
 	windows map[string]*Window
 	size    int
+	version atomic.Uint64
 }
 
 // NewSet returns a monitor set whose windows hold size samples each.
@@ -41,9 +51,15 @@ func (s *Set) Acquire(metric string) *Window {
 		return w
 	}
 	w = NewWindow(s.size)
+	w.version = &s.version
 	s.windows[metric] = w
+	s.version.Add(1)
 	return w
 }
+
+// Version returns the set's change counter (see Set). It is one atomic
+// load.
+func (s *Set) Version() uint64 { return s.version.Load() }
 
 // Window returns the window for metric (nil if never pushed).
 func (s *Set) Window(metric string) *Window {

@@ -16,13 +16,17 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Window is a fixed-capacity sliding window of float64 samples with O(1)
 // push and O(1) mean/variance queries (incremental sums). Percentile,
 // Min and Max scan (and Percentile sorts) on demand; Snapshot memoizes
 // its Summary until the next Push or Reset, so an unchanged window
-// answers in O(1). It is safe for concurrent use: many producer
+// answers in O(1). A window created by a Set also bumps the set's
+// Version when its memo goes stale: on the first Push after a Snapshot
+// and on every Reset, so a Push into an already-stale window costs no
+// atomic operation. It is safe for concurrent use: many producer
 // goroutines may Push while the control loop snapshots.
 type Window struct {
 	mu    sync.Mutex
@@ -41,6 +45,10 @@ type Window struct {
 	// clears fresh under mu.
 	memo  Summary
 	fresh bool
+
+	// version is the owning Set's change counter (nil for a standalone
+	// window), bumped under mu wherever fresh turns false.
+	version *atomic.Uint64
 }
 
 // NewWindow returns a window holding the last size samples.
@@ -67,7 +75,18 @@ func (w *Window) Push(v float64) {
 	w.sum += v
 	w.sumSq += v * v
 	w.total++
-	w.fresh = false
+	if w.fresh {
+		w.fresh = false
+		w.bump()
+	}
+}
+
+// bump tells the owning set, if any, that this window's Summary
+// changed. Called under mu.
+func (w *Window) bump() {
+	if w.version != nil {
+		w.version.Add(1)
+	}
 }
 
 // Len returns the number of live samples.
@@ -211,6 +230,7 @@ func (w *Window) Reset() {
 	defer w.mu.Unlock()
 	w.head, w.count, w.sum, w.sumSq = 0, 0, 0, 0
 	w.fresh = false
+	w.bump()
 }
 
 // Summary is a point-in-time statistical snapshot.

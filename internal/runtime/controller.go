@@ -19,9 +19,14 @@ import (
 // lookup), and the summary map handed to SLA.Check and Policy.Decide is
 // scratch reused across ticks. Analysing costs O(windows changed): a
 // window with no sample since the last tick answers from its Snapshot
-// memo, so a quiet app's tick neither rescans nor re-sorts. The trigger
-// still observes one check per tick, quiet or not — Debounce counts
-// ticks, not samples.
+// memo. A quiet tick costs O(1): when the last full tick's SLA check
+// passed, the inbox is empty and the metric set's Version has not moved
+// since that tick read it, the full tick would check the same summaries
+// and pass again, so Tick returns the zero Decision without draining or
+// analysing. A passing check leaves the trigger at rest, so skipping it
+// changes nothing; a violating app takes the full path every tick, and
+// the trigger observes one check per tick — Debounce counts ticks, not
+// samples.
 type Controller struct {
 	spec    AppSpec
 	metrics *monitor.Set
@@ -44,7 +49,15 @@ type Controller struct {
 	lastMetric string
 	lastWindow *monitor.Window
 
+	// passed and seen (under tickMu) are what a quiet tick compares
+	// against: whether the last full tick's SLA check passed, and the
+	// metric set's Version it read after its drain and before its
+	// snapshot.
+	passed bool
+	seen   uint64
+
 	ticks       atomic.Int64
+	quietTicks  atomic.Int64
 	fires       atomic.Int64
 	adaptations atomic.Int64
 
@@ -150,20 +163,38 @@ func (c *Controller) pushCached(metric string, v float64) {
 
 // Tick runs one collect-analyse-decide-act cycle and returns the
 // decision. Concurrent Ticks serialize; producers may keep pushing.
+//
+// A tick with nothing new since a passing check returns the zero
+// Decision in O(1) (see Controller). Nothing new means an empty inbox
+// (Inbox.Len() == 0) and an unchanged Set.Version. Inbox.PushBatch
+// counts its samples only after publishing them, and the control plane
+// nudges the kernel after that, so a sample a quiet tick misses is
+// drained by the first tick after its count lands.
 func (c *Controller) Tick() monitor.Decision {
 	c.tickMu.Lock()
 	defer c.tickMu.Unlock()
 	c.ticks.Add(1)
+	if c.passed && (c.spec.Sensor == nil || c.spec.Sensor.Len() == 0) && c.metrics.Version() == c.seen {
+		c.quietTicks.Add(1)
+		return monitor.Decision{}
+	}
+	return c.tickFull()
+}
 
+// tickFull is Tick's full collect-analyse-decide-act pass. Called under
+// tickMu.
+func (c *Controller) tickFull() monitor.Decision {
 	// Collect: drain the sensor into the windows, without allocating.
 	if c.spec.Sensor != nil {
 		c.spec.Sensor.Drain(c.drainFn)
 	}
+	c.seen = c.metrics.Version()
 
 	// Analyse: snapshot into the reused summary scratch and check the
 	// SLA. The map is only lent to the policy for the call.
 	c.metrics.SummariesInto(c.sums)
 	ok, goalIdx, violation := c.spec.SLA.Check(c.sums)
+	c.passed = ok
 	fire := c.trigger.Observe(!ok)
 	d := monitor.Decision{}
 	if !fire {
@@ -212,8 +243,12 @@ func (c *Controller) SwapPolicy(p Policy, kb Knob) Policy {
 	return old
 }
 
-// Ticks returns the number of cycles run.
+// Ticks returns the number of cycles run, quiet ones included.
 func (c *Controller) Ticks() int64 { return c.ticks.Load() }
+
+// QuietTicks returns how many of those cycles found nothing new since a
+// passing check and skipped the analyse pass.
+func (c *Controller) QuietTicks() int64 { return c.quietTicks.Load() }
 
 // Fires returns how many ticks produced a firing (Adapt) decision.
 func (c *Controller) Fires() int64 { return c.fires.Load() }

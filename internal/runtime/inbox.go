@@ -196,5 +196,8 @@ func (in *Inbox) Drain(fn func(metric string, v float64)) {
 }
 
 // Len returns the number of buffered samples (approximate while
-// producers and collectors are active, exact at rest).
+// producers and collectors are active, exact at rest). It is one atomic
+// load. Push and PushBatch count samples only after publishing them,
+// so a Drain can run ahead of the count and Len can read negative;
+// Controller.Tick treats anything but 0 as "something new".
 func (in *Inbox) Len() int { return int(in.pending.Load()) }
